@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, NumericError, ResourceError
 
 __all__ = [
     "CircuitStats",
@@ -66,8 +66,11 @@ def circuit_stats(values: Sequence[int]) -> CircuitStats:
         1 for (v, w), nu in mult.items() if nu == 1 and v != w)
     odd = sum(1 for nu in mult.values() if nu % 2 == 1)
     loops = sum(1 for (v, w) in mult if v == w)
-    # inequality of the simple-edge bound, asserted on every construction
-    assert rho - sigma_simple / 2 <= k / 2 + 1
+    # inequality of the simple-edge bound, checked on every construction
+    if rho - sigma_simple / 2 > k / 2 + 1:
+        raise NumericError(
+            f"simple-edge bound violated by walk {tuple(values)}: "
+            f"rho={rho}, sigma_simple={sigma_simple}, k={k}")
     return CircuitStats(rho=rho, sigma_simple=sigma_simple,
                         sigma_simple_proper=sigma_simple_proper,
                         multiplicities=dict(mult), odd_edge_count=odd,

@@ -24,16 +24,33 @@ import numpy as np
 
 from . import circuits, correlations, definetti, ensembles, spectral
 from .ensembles import EnsembleConfig
-from .errors import ConfigError, CwrmtError, ResourceError
+from .errors import (
+    ClassificationError,
+    ConfigError,
+    CwrmtError,
+    DomainError,
+    IntegrabilityError,
+    NumericError,
+    ResourceError,
+    UnsupportedEnsembleError,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_TOLERANCE = 4
 EXIT_IO = 5
+EXIT_NUMERIC = 6
 
-_TASKS = ("esd", "moments", "norm", "correlations", "oracle", "graphcheck",
-          "laplace")
+# (error types, message prefix, exit status), matched in order
+_ERROR_EXITS = (
+    (ResourceError, "resource guard", EXIT_RESOURCE),
+    ((ConfigError, DomainError, UnsupportedEnsembleError), "config error",
+     EXIT_CONFIG),
+    ((NumericError, IntegrabilityError, ClassificationError), "numeric error",
+     EXIT_NUMERIC),
+    (OSError, "io error", EXIT_IO),
+)
 
 # Calibrated defaults; every value can be overridden via the config file's
 # "tolerances" table.
@@ -71,9 +88,9 @@ class ExperimentSpec:
         if "task" not in d:
             raise ConfigError("config must set 'task'")
         spec = cls(**d)
-        if spec.task not in _TASKS:
-            raise ConfigError(
-                f"unknown task {spec.task!r}; expected one of {_TASKS}")
+        if spec.task not in _TASK_FNS:
+            raise ConfigError(f"unknown task {spec.task!r}; "
+                              f"expected one of {tuple(_TASK_FNS)}")
         if spec.replicas < 1:
             raise ConfigError("replicas must be >= 1")
         if spec.task != "graphcheck" and not isinstance(spec.ensemble, dict):
@@ -97,16 +114,25 @@ class ExperimentSpec:
 
 def _pool_size(replicas: int) -> int:
     cap = os.environ.get("CWRMT_THREADS")
-    workers = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(workers, replicas))
+    if not cap:
+        return min(os.cpu_count() or 1, replicas)
+    try:
+        workers = int(cap)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(
+            f"CWRMT_THREADS must be an integer >= 1, got {cap!r}")
+    return min(workers, replicas)
 
 
 def _parallel_map(fn, args_list):
     """Run fn over args in a pool; results returned in input order so the
     aggregates are independent of thread count."""
-    if len(args_list) == 1 or _pool_size(len(args_list)) == 1:
+    workers = _pool_size(len(args_list))
+    if workers == 1:
         return [fn(a) for a in args_list]
-    with ThreadPoolExecutor(max_workers=_pool_size(len(args_list))) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args_list))
 
 
@@ -122,15 +148,18 @@ def _write_csv(path: Path, header, rows):
 # tasks
 # ---------------------------------------------------------------------------
 
-def _task_esd(spec: ExperimentSpec, out: Path) -> dict:
-    tol = spec.tolerances
-
+def _replica_summaries(spec: ExperimentSpec) -> list:
+    """Spectral summary of X/sqrt(N) for every replica, in replica order."""
     def one(replica):
-        cfg = spec.ensemble_config(replica=replica)
-        X = ensembles.sample_matrix(cfg)
+        X = ensembles.sample_matrix(spec.ensemble_config(replica=replica))
         return spectral.summarize(ensembles.scale(X, 0.5), k_max=spec.k_max)
 
-    summaries = _parallel_map(one, list(range(spec.replicas)))
+    return _parallel_map(one, list(range(spec.replicas)))
+
+
+def _task_esd(spec: ExperimentSpec, out: Path) -> dict:
+    tol = spec.tolerances
+    summaries = _replica_summaries(spec)
     eig_rows = [(r, i, float(lam))
                 for r, s in enumerate(summaries)
                 for i, lam in enumerate(s.eigenvalues)]
@@ -166,13 +195,7 @@ def _task_esd(spec: ExperimentSpec, out: Path) -> dict:
 
 def _task_moments(spec: ExperimentSpec, out: Path) -> dict:
     tol = spec.tolerances
-
-    def one(replica):
-        cfg = spec.ensemble_config(replica=replica)
-        X = ensembles.sample_matrix(cfg)
-        return spectral.summarize(ensembles.scale(X, 0.5), k_max=spec.k_max)
-
-    summaries = _parallel_map(one, list(range(spec.replicas)))
+    summaries = _replica_summaries(spec)
     moments = np.array([s.moments for s in summaries])  # (R, k_max)
     means = moments.mean(axis=0)
     variances = moments.var(axis=0, ddof=1) if spec.replicas > 1 else \
@@ -391,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("run", help="run one experiment from a JSON config")
     r.add_argument("--config", type=str, default=None,
                    help="path to the JSON experiment spec")
-    r.add_argument("--task", choices=_TASKS)
+    r.add_argument("--task", choices=_TASK_FNS)
     r.add_argument("--ensemble", type=str,
                    help="ensemble kind (full_cw|diagonal_cw|generalized|iid)")
     r.add_argument("--beta", type=float)
@@ -436,26 +459,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         spec = _spec_from_args(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
         report = run(spec)
-    except ResourceError as exc:
-        print(f"resource guard: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except CwrmtError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    except (CwrmtError, OSError) as exc:
+        for types, prefix, code in _ERROR_EXITS:
+            if isinstance(exc, types):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        raise
     status = "PASS" if report["passed"] else "FAIL"
     print(f"{spec.task}: {status} "
           f"({report['wall_clock_seconds']:.1f}s, out={spec.output_dir})")

@@ -13,7 +13,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ensembles import EnsembleConfig, mixing_measure, seed_stream
+from .ensembles import (EnsembleConfig, _cw_measure, mixing_measure,
+                        seed_stream)
 from .errors import DomainError, UnsupportedEnsembleError
 
 __all__ = [
@@ -65,7 +66,6 @@ def mc_correlation(cfg: EnsembleConfig, positions, replicas: int,
     if rng is None:
         rng = seed_stream(cfg.seed, cfg.replica_index, "mc")
     if cfg.kind == "diagonal_cw":
-        from .ensembles import _cw_measure  # diagonal mixing, one t per |i-j|
         diags = sorted({j - i for (i, j) in sym})
         scale_ = (float(cfg.N) if cfg.diagonal_law == "ambient" else None)
         probs = np.empty((replicas, len(sym)))

@@ -50,10 +50,12 @@ _LOGZ_TOL = 1e-11
 
 @dataclass(frozen=True)
 class Potential:
-    """A potential F on (-1, 1), finite inside and diverging at the endpoints.
+    """An even potential F on (-1, 1), finite inside and diverging at the
+    endpoints.
 
     `fn` should accept numpy arrays.  Derivative callables are optional;
     missing ones are replaced by central finite differences with step `fd_step`.
+    Only even potentials are supported: `even=False` raises DomainError.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -70,11 +72,13 @@ class Potential:
             if not math.isfinite(v):
                 raise DomainError(
                     f"potential {self.label!r} not finite at t={probe}")
-        if self.even:
-            ts = np.array([0.1, 0.35, 0.7, 0.95, 1.0 - 1e-6])
-            if np.max(np.abs(self(ts) - self(-ts))) > 1e-12:
-                raise DomainError(
-                    f"potential {self.label!r} flagged even but is not")
+        if not self.even:
+            raise DomainError(f"potential {self.label!r} is not even; "
+                              "only even potentials are supported")
+        ts = np.array([0.1, 0.35, 0.7, 0.95, 1.0 - 1e-6])
+        if np.max(np.abs(self(ts) - self(-ts))) > 1e-12:
+            raise DomainError(
+                f"potential {self.label!r} flagged even but is not")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -150,7 +154,6 @@ def curie_weiss_potential(beta: float) -> Potential:
         d1=lambda t: _cw_d1(beta, t),
         d2=lambda t: _cw_d2(beta, t),
         d4=lambda t: _cw_d4(beta, t),
-        even=True,
         label=f"curie_weiss(beta={beta:g})",
     )
 
@@ -234,13 +237,14 @@ def find_minimum(p: Potential) -> LaplaceExpansion:
     vals = p(grid)
     idx = int(np.argmin(vals))
     if idx >= len(grid) - 2:
-        raise ClassificationError("minimum at the boundary t -> 1")
+        raise ClassificationError(
+            f"minimum at the boundary t -> 1 for {p.label!r}")
     lo = grid[max(idx - 1, 0)]
     hi = grid[idx + 1]
     res = minimize_scalar(lambda t: float(p(t)), bounds=(lo, hi),
                           method="bounded", options={"xatol": 1e-13})
     a = float(res.x)
-    if a < 1e-6 and p.even:
+    if a < 1e-6:
         a = 0.0
     else:
         # function values locate a quadratic minimum only to ~sqrt(eps);
@@ -251,13 +255,15 @@ def find_minimum(p: Potential) -> LaplaceExpansion:
     d2 = p.second_derivative(a)
     if abs(d2) > _D2_THRESHOLD:
         if d2 < 0:
-            raise ClassificationError("second derivative negative at argmin")
+            raise ClassificationError(
+                f"second derivative negative at argmin for {p.label!r}")
         nu, P = 2, d2 / 2.0
     else:
         d4 = p.fourth_derivative(a)
         if d4 <= _D2_THRESHOLD:
             raise ClassificationError(
-                "minimum flat beyond fourth order; cannot classify")
+                f"minimum of {p.label!r} flat beyond fourth order; "
+                "cannot classify")
         nu, P = 4, d4 / 24.0
     return LaplaceExpansion(a=a, nu=nu, P=P, lam=1.0,
                             Q=1.0 / (1.0 - a * a), F_at_a=float(p(a)))
@@ -330,9 +336,11 @@ class DeFinettiMeasure:
 
     def __init__(self, potential: Potential, scale: float, n_cdf: int = 4096):
         if not scale > 0:
-            raise DomainError(f"scale must be positive, got {scale}")
+            raise DomainError(
+                f"scale must be positive, got {scale} for {potential.label!r}")
         self.potential = potential
         self.scale = float(scale)
+        self._where = f"{potential.label!r}, scale={self.scale:g}"
         self.minimum = find_minimum(potential)
         self._breaks = self._converge_panels()
         self.log_normalizer = self._log_integral(extra_log=None)
@@ -375,13 +383,14 @@ class DeFinettiMeasure:
             y *= 1.5
         else:
             raise IntegrabilityError(
-                "integrand tail does not decay; density not normalizable")
+                "integrand tail does not decay; density not normalizable "
+                f"({self._where})")
         probes = y * 2.0 ** np.arange(1, 12)
         probes = np.append(probes[probes < 800.0], 800.0)
         if np.any(self._log_density_y(probes) >= target):
             raise IntegrabilityError(
                 "integrand rebounds beyond the tail cutoff; "
-                "density not normalizable")
+                f"density not normalizable ({self._where})")
         return y
 
     def _initial_breaks(self) -> np.ndarray:
@@ -412,7 +421,8 @@ class DeFinettiMeasure:
             ys, logw = self._panel_nodes(breaks)
             val = float(logsumexp(self._log_density_y(ys) + logw))
             if not math.isfinite(val):
-                raise IntegrabilityError("normalizing integral not finite")
+                raise IntegrabilityError(
+                    f"normalizing integral not finite ({self._where})")
             if prev is not None and abs(val - prev) < _LOGZ_TOL:
                 break
             prev = val
@@ -420,7 +430,8 @@ class DeFinettiMeasure:
                 [breaks, 0.5 * (breaks[:-1] + breaks[1:])]))
         else:
             raise IntegrabilityError(
-                "quadrature failed to converge (divergent refinement)")
+                "quadrature failed to converge (divergent refinement) "
+                f"({self._where})")
         return breaks
 
     def _log_integral(self, extra_log) -> float:
@@ -430,19 +441,6 @@ class DeFinettiMeasure:
         if extra_log is not None:
             vals = vals + extra_log(ys)
         return float(logsumexp(vals))
-
-    def _signed_log_integral(self, k: int) -> float:
-        """Signed integral of tanh(y)^k against the density, via a
-        positive/negative split (needed only for odd k of uneven potentials).
-        """
-        ys, logw = self._panel_nodes(self._breaks)
-        t = np.tanh(ys)
-        with np.errstate(divide="ignore"):
-            vals = self._log_density_y(ys) + logw + k * np.log(np.abs(t))
-        pos = logsumexp(vals[t > 0]) if np.any(t > 0) else -np.inf
-        neg = logsumexp(vals[t < 0]) if np.any(t < 0) else -np.inf
-        return math.exp(pos - self.log_normalizer) - math.exp(
-            neg - self.log_normalizer)
 
     # -- public surface -------------------------------------------------------
 
@@ -456,22 +454,19 @@ class DeFinettiMeasure:
 
     def moment(self, K: int) -> float:
         """Exact K-th moment of the mixing measure by quadrature.  Odd moments
-        of even potentials are zero by symmetry, no quadrature involved."""
+        vanish by symmetry of the even potential, no quadrature involved."""
         if K < 0:
             raise DomainError(f"K must be non-negative, got {K}")
         if K == 0:
             return 1.0
-        if K % 2 == 1 and self.potential.even:
+        if K % 2 == 1:
             return 0.0
         if K in self._moment_cache:
             return self._moment_cache[K]
-        if K % 2 == 1:
-            val = self._signed_log_integral(K)
-        else:
-            with np.errstate(divide="ignore"):
-                log_num = self._log_integral(
-                    lambda y: K * np.log(np.abs(np.tanh(y))))
-            val = math.exp(log_num - self.log_normalizer)
+        with np.errstate(divide="ignore"):
+            log_num = self._log_integral(
+                lambda y: K * np.log(np.abs(np.tanh(y))))
+        val = math.exp(log_num - self.log_normalizer)
         self._moment_cache[K] = val
         return val
 
@@ -495,8 +490,6 @@ class DeFinettiMeasure:
     def sample_t(self, rng: np.random.Generator, size=None):
         """Inverse-CDF draw(s) of the latent mean t."""
         u = rng.random() if size is None else rng.random(size)
-        if self._use_rejection:
-            return self._rejection_sample(rng, u)
         u = np.clip(u, self._cdf_y[0], self._cdf_y_last)
         y = self._inverse_cdf(u)
         t = np.tanh(y)
@@ -540,7 +533,11 @@ class DeFinettiMeasure:
         self._cdf_y = cdf_k
         self._cdf_y_last = cdf_k[-1]
         self._table_ys = ys_k
-        self._use_rejection = self._interp_error_estimate() > 1e-6
+        err = self._interp_error_estimate()
+        if err > 1e-6:
+            raise NumericError(
+                f"inverse-CDF table error {err:.3g} exceeds 1e-6 "
+                f"({self._where})")
 
     def _interp_error_estimate(self) -> float:
         """Max deviation between the interpolated CDF and a direct
@@ -561,24 +558,3 @@ class DeFinettiMeasure:
                 - self.log_normalizer)
             err = max(err, abs(float(fwd(ym)) - (cdf[i - 1] + inc)))
         return err
-
-    def _rejection_sample(self, rng, u):
-        """Piecewise-uniform proposal rejection sampler (fallback when the
-        inverse-CDF table is too coarse)."""
-        scalar = np.isscalar(u) or np.asarray(u).ndim == 0
-        us = np.atleast_1d(np.asarray(u, dtype=float))
-        ys, cdf = self._table_ys, self._cdf_y
-        out = np.empty_like(us)
-        for j, uu in enumerate(us):
-            i = int(np.clip(np.searchsorted(cdf, uu), 1, len(cdf) - 1))
-            lo, hi = ys[i - 1], ys[i]
-            probes = np.array([lo, 0.5 * (lo + hi), hi])
-            log_env = float(np.max(self._log_density_y(probes))) + math.log(1.5)
-            while True:
-                y = lo + rng.random() * (hi - lo)
-                if math.log(max(rng.random(), 1e-300)) <= float(
-                        self._log_density_y(np.asarray(y))) - log_env:
-                    out[j] = y
-                    break
-        t = np.tanh(out)
-        return float(t[0]) if scalar else t

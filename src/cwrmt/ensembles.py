@@ -127,20 +127,16 @@ def scale(X: SpinMatrix, gamma: float) -> ScaledMatrix:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
+def _measure(potential: Potential, scale_: float) -> DeFinettiMeasure:
+    return DeFinettiMeasure(potential, scale_)
+
+
+# one Potential object per beta, so equal configs share a cache entry
+_cw_potential = lru_cache(maxsize=64)(curie_weiss_potential)
+
+
 def _cw_measure(beta: float, scale_: float) -> DeFinettiMeasure:
-    return DeFinettiMeasure(curie_weiss_potential(beta), scale_)
-
-
-_generalized_cache: dict[tuple[int, float], DeFinettiMeasure] = {}
-
-
-def _measure_for(potential: Potential, scale_: float) -> DeFinettiMeasure:
-    key = (id(potential), scale_)
-    if key not in _generalized_cache:
-        if len(_generalized_cache) > 64:
-            _generalized_cache.clear()
-        _generalized_cache[key] = DeFinettiMeasure(potential, scale_)
-    return _generalized_cache[key]
+    return _measure(_cw_potential(beta), scale_)
 
 
 def mixing_measure(cfg: EnsembleConfig):
@@ -150,8 +146,8 @@ def mixing_measure(cfg: EnsembleConfig):
     if cfg.kind == "full_cw":
         return _cw_measure(cfg.beta, float(cfg.N) ** 2)
     if cfg.kind == "generalized":
-        pot = cfg.potential or curie_weiss_potential(cfg.beta)
-        return _measure_for(pot, float(cfg.N) ** cfg.alpha)
+        pot = cfg.potential or _cw_potential(cfg.beta)
+        return _measure(pot, float(cfg.N) ** cfg.alpha)
     if cfg.kind == "iid":
         return PointMass(0.0)
     raise UnsupportedEnsembleError(
@@ -162,14 +158,19 @@ def mixing_measure(cfg: EnsembleConfig):
 # samplers
 # ---------------------------------------------------------------------------
 
-def _spin_fill(N: int, t: float, rng: np.random.Generator) -> np.ndarray:
-    """Symmetric matrix of conditionally iid spins with mean t (upper triangle
-    incl. diagonal drawn, mirrored)."""
+def _spin_fill(N: int, ts, rng: np.random.Generator) -> np.ndarray:
+    """Stack of symmetric matrices, one per latent mean in `ts`, each with
+    conditionally iid spins of that mean (upper triangle incl. diagonal
+    drawn, mirrored)."""
+    ts = np.atleast_1d(ts)
     iu = np.triu_indices(N)
-    spins = np.where(rng.random(len(iu[0])) < 0.5 * (1.0 + t), 1, -1).astype(np.int8)
-    X = np.zeros((N, N), dtype=np.int8)
-    X[iu] = spins
-    X.T[iu] = spins
+    # temporaries stay unnamed so each is freed as soon as it is consumed
+    spins = np.where(
+        rng.random((len(ts), len(iu[0]))) < 0.5 * (1.0 + ts[:, None]),
+        1, -1).astype(np.int8)
+    X = np.zeros((len(ts), N, N), dtype=np.int8)
+    X[:, iu[0], iu[1]] = spins
+    X[:, iu[1], iu[0]] = spins
     return X
 
 
@@ -181,27 +182,35 @@ def _streams(cfg: EnsembleConfig, rng: np.random.Generator | None):
     return children[0], children[1]
 
 
+def _sample_shared_t(cfg: EnsembleConfig, rng: np.random.Generator | None,
+                     kind: str) -> SpinMatrix:
+    """Latent t from the mixing measure, then conditionally iid spins with
+    mean t.  The iid kind's point mass at 0 records no latent t."""
+    if cfg.kind != kind:
+        raise ConfigError(f"config kind is {cfg.kind!r}, expected {kind!r}")
+    r_latent, r_spins = _streams(cfg, rng)
+    t = mixing_measure(cfg).sample_t(r_latent)
+    return SpinMatrix(N=cfg.N, entries=_spin_fill(cfg.N, t, r_spins)[0],
+                      latent_t=None if kind == "iid" else t, config=cfg)
+
+
 def sample_full_cw(cfg: EnsembleConfig,
                    rng: np.random.Generator | None = None) -> SpinMatrix:
     """One draw of the full Curie-Weiss ensemble: latent t from the mixing
     measure with scale N^2, then conditionally iid spins with mean t."""
-    if cfg.kind != "full_cw":
-        raise ConfigError(f"config kind is {cfg.kind!r}, expected 'full_cw'")
-    r_latent, r_spins = _streams(cfg, rng)
-    t = mixing_measure(cfg).sample_t(r_latent)
-    return SpinMatrix(N=cfg.N, entries=_spin_fill(cfg.N, t, r_spins),
-                      latent_t=t, config=cfg)
+    return _sample_shared_t(cfg, rng, "full_cw")
 
 
 def sample_generalized(cfg: EnsembleConfig,
                        rng: np.random.Generator | None = None) -> SpinMatrix:
     """Generalized ensemble: latent t from e^{-N^alpha F(t)/2}/(1-t^2)."""
-    if cfg.kind != "generalized":
-        raise ConfigError(f"config kind is {cfg.kind!r}, expected 'generalized'")
-    r_latent, r_spins = _streams(cfg, rng)
-    t = mixing_measure(cfg).sample_t(r_latent)
-    return SpinMatrix(N=cfg.N, entries=_spin_fill(cfg.N, t, r_spins),
-                      latent_t=t, config=cfg)
+    return _sample_shared_t(cfg, rng, "generalized")
+
+
+def sample_iid(cfg: EnsembleConfig,
+               rng: np.random.Generator | None = None) -> SpinMatrix:
+    """iid fair +-1 baseline (symmetric)."""
+    return _sample_shared_t(cfg, rng, "iid")
 
 
 def sample_diagonal_cw(cfg: EnsembleConfig,
@@ -230,16 +239,6 @@ def sample_diagonal_cw(cfg: EnsembleConfig,
     return SpinMatrix(N=N, entries=X, latent_t=ts, config=cfg)
 
 
-def sample_iid(cfg: EnsembleConfig,
-               rng: np.random.Generator | None = None) -> SpinMatrix:
-    """iid fair +-1 baseline (symmetric)."""
-    if cfg.kind != "iid":
-        raise ConfigError(f"config kind is {cfg.kind!r}, expected 'iid'")
-    _, r_spins = _streams(cfg, rng)
-    return SpinMatrix(N=cfg.N, entries=_spin_fill(cfg.N, 0.0, r_spins),
-                      latent_t=None, config=cfg)
-
-
 _SAMPLERS = {
     "full_cw": sample_full_cw,
     "diagonal_cw": sample_diagonal_cw,
@@ -260,16 +259,8 @@ def sample_full_cw_batch(cfg: EnsembleConfig, replicas: int,
 
     Returns (ts, X) with X of shape (replicas, N, N).  Intended for small N.
     """
-    m = mixing_measure(cfg)
-    ts = np.atleast_1d(m.sample_t(rng, size=replicas))
-    N = cfg.N
-    iu = np.triu_indices(N)
-    u = rng.random((replicas, len(iu[0])))
-    spins = np.where(u < 0.5 * (1.0 + ts[:, None]), 1, -1).astype(np.int8)
-    X = np.zeros((replicas, N, N), dtype=np.int8)
-    X[:, iu[0], iu[1]] = spins
-    X[:, iu[1], iu[0]] = spins
-    return ts, X
+    ts = np.atleast_1d(mixing_measure(cfg).sample_t(rng, size=replicas))
+    return ts, _spin_fill(cfg.N, ts, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +283,5 @@ def dump_matrix(X: SpinMatrix) -> str:
     buf = io.StringIO()
     buf.write(f"{X.N} {cfg.kind} {beta} {alpha} {cfg.seed} "
               f"{cfg.replica_index} {latent}\n")
-    for row in X.entries:
-        buf.write(" ".join(str(int(v)) for v in row))
-        buf.write("\n")
+    np.savetxt(buf, X.entries, fmt="%d")
     return buf.getvalue()

@@ -10,6 +10,7 @@ import pytest
 from cwrmt.cli import (
     EXIT_CONFIG,
     EXIT_IO,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_TOLERANCE,
@@ -216,3 +217,36 @@ def test_main_invalid_json(tmp_path, capsys):
     cfg_path.write_text("{not json")
     code = main(["run", "--config", str(cfg_path)])
     assert code == EXIT_CONFIG
+
+
+def test_main_numeric_error(tmp_path, capsys):
+    # beta=8 puts the minimum of F_beta beyond the classification grid
+    code = main(["run", "--task", "laplace", "--ensemble", "full_cw",
+                 "--beta", "8", "--out", str(tmp_path)])
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error:")
+    assert "beta=8" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # DomainError: beta must be positive
+    ["--task", "laplace", "--ensemble", "full_cw", "--beta", "-1"],
+    # UnsupportedEnsembleError: no single mixing measure for the oracle
+    ["--task", "oracle", "--ensemble", "diagonal_cw", "--beta", "0.5",
+     "--n", "4", "--replicas", "200"],
+])
+def test_main_domain_errors_are_config_errors(tmp_path, capsys, argv):
+    code = main(["run", *argv, "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("cap", ["abc", "0", "-2", "1.5"])
+def test_main_bad_thread_cap(tmp_path, capsys, monkeypatch, cap):
+    monkeypatch.setenv("CWRMT_THREADS", cap)
+    code = main(["run", "--task", "esd", "--ensemble", "iid", "--n", "20",
+                 "--replicas", "2", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert f"CWRMT_THREADS must be an integer >= 1, got {cap!r}" in \
+        capsys.readouterr().err

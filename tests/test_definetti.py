@@ -22,7 +22,12 @@ from cwrmt import (
     magnetization,
 )
 from cwrmt.ensembles import seed_stream
-from cwrmt.errors import ClassificationError, DomainError, IntegrabilityError
+from cwrmt.errors import (
+    ClassificationError,
+    DomainError,
+    IntegrabilityError,
+    NumericError,
+)
 
 # regression pins, frozen from independent high-precision evaluation of the
 # closed forms (30-digit arithmetic)
@@ -411,3 +416,32 @@ class TestLaplaceAsymptotics:
             devs.append(abs(exact / asym - 1.0))
         assert all(a > b for a, b in zip(devs, devs[1:]))
         assert devs[-1] < 0.02
+
+
+# ---------------------------------------------------------------------------
+# unsupported inputs and failure messages
+# ---------------------------------------------------------------------------
+
+def test_non_even_potential_rejected():
+    with pytest.raises(DomainError, match="only even potentials"):
+        Potential(fn=lambda t: np.asarray(t, dtype=float) ** 2, even=False,
+                  label="flagged-uneven")
+
+
+def test_classification_error_names_beta():
+    with pytest.raises(ClassificationError, match="beta=8"):
+        DeFinettiMeasure(curie_weiss_potential(8.0), 1e4)
+
+
+def test_integrability_error_names_beta_and_scale():
+    with pytest.raises(IntegrabilityError, match=r"beta=5.*scale=1e\+06"):
+        DeFinettiMeasure(curie_weiss_potential(5.0), 1e6)
+
+
+def test_coarse_cdf_table_raises(monkeypatch):
+    # a table whose interpolation error exceeds 1e-6 is an error, not a
+    # reason to switch samplers
+    monkeypatch.setattr(DeFinettiMeasure, "_interp_error_estimate",
+                        lambda self: 1e-3)
+    with pytest.raises(NumericError, match=r"beta=0.5.*scale=1000"):
+        DeFinettiMeasure(curie_weiss_potential(0.5), 1e3)

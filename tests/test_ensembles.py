@@ -309,3 +309,18 @@ def test_dump_matrix_iid_nan_fields():
     X = sample_iid(_cfg("iid", 2, seed=59))
     head = dump_matrix(X).split("\n")[0].split()
     assert head[2] == "nan" and head[6] == "nan"
+
+
+def test_dump_matrix_rows_match_reference_format():
+    X = sample_full_cw(_cfg("full_cw", 6, seed=61))
+    rows = dump_matrix(X).split("\n", 1)[1]
+    assert rows == "".join(" ".join(str(int(v)) for v in row) + "\n"
+                           for row in X.entries)
+
+
+def test_generalized_measure_shared_across_replicas():
+    # a generalized config given only beta builds its measure once, not once
+    # per replica
+    cfg = _cfg("generalized", 30, beta=0.6, alpha=1.0)
+    assert mixing_measure(cfg.with_replica(0)) is mixing_measure(
+        cfg.with_replica(1))
