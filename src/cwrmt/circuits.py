@@ -6,21 +6,28 @@ wraparound i_{k+1} = i_1.  Tuples are grouped into equivalence classes by
 first-occurrence relabeling; weighting each class by a falling factorial of N
 turns class enumeration into an exact expectation of (1/N) tr (X/N^gamma)^k
 for any ensemble whose entries are conditionally iid spins given one latent t.
+All classes of one walk length k live in one cached integer table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import DomainError, NumericError, ResourceError
 
 __all__ = [
     "CircuitStats",
     "CircuitClass",
+    "ClassTable",
     "circuit_stats",
+    "class_table",
     "enumerate_classes",
     "exact_trace_moment",
     "verify_simple_edge_bound",
@@ -28,7 +35,8 @@ __all__ = [
     "falling_factorial",
 ]
 
-K_MAX = 10  # Bell(10) = 115975 classes; the enumeration guard
+K_MAX = 12  # Bell(12) = 4213597 classes; the class-table guard
+_CHUNK_ROWS = 1 << 16  # walks per block of the edge statistics
 
 
 def falling_factorial(N: int, r: int) -> int:
@@ -93,40 +101,111 @@ class CircuitClass:
         return falling_factorial(N, self.rho)
 
 
-def _restricted_growth_strings(k: int) -> Iterator[tuple]:
-    """All length-k sequences with c_1 = 1 and c_m <= 1 + max(previous)."""
-    seq = [1] * k
+@dataclass(frozen=True)
+class ClassTable:
+    """Every relabeling class of length-k walks, one row per class in
+    lexicographic order of the canonical strings.  All arrays are read-only:
+    `canonical` has shape (Bell(k), k), the columns shape (Bell(k),), and
+    `counts[rho, odd]` is the number of classes with those two values."""
 
-    def rec(m: int, mx: int):
-        if m == k:
-            yield tuple(seq)
-            return
-        for c in range(1, mx + 2):
-            seq[m] = c
-            yield from rec(m + 1, max(mx, c))
-
-    yield from rec(1, 1) if k > 1 else iter([(1,)])
+    canonical: np.ndarray
+    rho: np.ndarray
+    sigma_simple: np.ndarray
+    sigma_simple_proper: np.ndarray
+    odd_edge_count: np.ndarray
+    k_proper: np.ndarray  # steps between distinct vertices
+    counts: np.ndarray
 
 
-def enumerate_classes(k: int) -> list[CircuitClass]:
-    """One canonical representative per relabeling class of length-k walks.
+def _check_walk_length(k: int, name: str = "k") -> None:
+    if k < 1:
+        raise DomainError(f"{name} must be >= 1, got {k}")
+    if k > K_MAX:
+        raise ResourceError(
+            f"{name}={k} exceeds the class-table guard ({K_MAX}; "
+            f"Bell({K_MAX}) = 4213597 classes)")
+
+
+def _restricted_growth_strings(k: int) -> np.ndarray:
+    """All length-k sequences with c_1 = 1 and c_m <= 1 + max(previous), in
+    lexicographic order, as a (Bell(k), k) int8 array."""
+    rows = np.ones((1, 1), dtype=np.int8)
+    top = np.ones(1, dtype=np.int8)  # running maximum of each row
+    for _ in range(1, k):
+        # a prefix whose maximum is c has c + 1 children
+        fan = top.astype(np.intp) + 1
+        first = np.cumsum(fan) - fan
+        last = (np.arange(fan.sum()) - np.repeat(first, fan) + 1).astype(
+            np.int8)
+        rows = np.column_stack([np.repeat(rows, fan, axis=0), last])
+        top = np.maximum(np.repeat(top, fan), last)
+    return rows
+
+
+def _edge_columns(walks: np.ndarray) -> tuple:
+    """(sigma_simple, sigma_simple_proper, odd_edge_count, k_proper) of each
+    row of `walks`, from the sorted edge codes min*(k+2)+max of the row."""
+    k = walks.shape[1]
+    a = walks.astype(np.int16)
+    b = np.roll(a, -1, axis=1)
+    edges = np.sort(np.minimum(a, b) * (k + 2) + np.maximum(a, b), axis=1)
+    starts = np.ones(edges.shape, dtype=bool)
+    starts[:, 1:] = edges[:, 1:] != edges[:, :-1]
+    ends = np.ones(edges.shape, dtype=bool)
+    ends[:, :-1] = starts[:, 1:]
+    pos = np.arange(k, dtype=np.int8)
+    # offset of each step within its run of equal edges; at a run's end it
+    # is the edge's multiplicity minus one
+    offset = pos - np.maximum.accumulate(np.where(starts, pos, 0), axis=1)
+    simple = ends & (offset == 0)
+    proper = edges // (k + 2) != edges % (k + 2)
+    return (simple.sum(axis=1), (simple & proper).sum(axis=1),
+            (ends & (offset % 2 == 0)).sum(axis=1), proper.sum(axis=1))
+
+
+@functools.lru_cache(maxsize=None)
+def class_table(k: int) -> ClassTable:
+    """The cached class table of walk length k (1 <= k <= K_MAX).
 
     Classes partition the tuples of every ambient size N, with class sizes
     N (N-1) ... (N-rho+1) summing to N^k.
     """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    if k > K_MAX:
-        raise ResourceError(
-            f"k={k} exceeds the class-enumeration guard ({K_MAX})")
-    out = []
-    for canon in _restricted_growth_strings(k):
-        st = circuit_stats(canon)
-        out.append(CircuitClass(
-            canonical=canon, rho=st.rho, sigma_simple=st.sigma_simple,
-            sigma_simple_proper=st.sigma_simple_proper,
-            odd_edge_count=st.odd_edge_count))
-    return out
+    _check_walk_length(k)
+    canonical = _restricted_growth_strings(k)
+    blocks = [_edge_columns(canonical[i:i + _CHUNK_ROWS])
+              for i in range(0, len(canonical), _CHUNK_ROWS)]
+    simple, simple_proper, odd, k_proper = (
+        np.concatenate(col).astype(np.int8) for col in zip(*blocks))
+    rho = canonical.max(axis=1)
+    bad = np.flatnonzero(2 * rho.astype(np.intp) - simple > k + 2)
+    if bad.size:
+        i = bad[0]
+        raise NumericError(
+            f"simple-edge bound violated by walk "
+            f"{tuple(canonical[i].tolist())}: rho={rho[i]}, "
+            f"sigma_simple={simple[i]}, k={k}")
+    counts = np.bincount(rho.astype(np.intp) * (k + 1) + odd,
+                         minlength=(k + 1) ** 2).reshape(k + 1, k + 1)
+    arrays = dict(canonical=canonical, rho=rho, sigma_simple=simple,
+                  sigma_simple_proper=simple_proper, odd_edge_count=odd,
+                  k_proper=k_proper, counts=counts)
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return ClassTable(**arrays)
+
+
+def _class_rows(k: int) -> Iterator[tuple]:
+    """(canonical, rho, sigma_simple, sigma_simple_proper, odd_edge_count)
+    of each class of the table, as Python values."""
+    t = class_table(k)
+    return zip(t.canonical.tolist(), t.rho.tolist(), t.sigma_simple.tolist(),
+               t.sigma_simple_proper.tolist(), t.odd_edge_count.tolist())
+
+
+def enumerate_classes(k: int) -> list[CircuitClass]:
+    """One canonical representative per relabeling class of length-k walks,
+    read from the class table."""
+    return [CircuitClass(tuple(c), *cols) for c, *cols in _class_rows(k)]
 
 
 def exact_trace_moment(m, N: int, k: int, gamma: float) -> float:
@@ -137,19 +216,22 @@ def exact_trace_moment(m, N: int, k: int, gamma: float) -> float:
     count) conditionally, so the expectation is a moment of the mixing
     measure.  `m` needs only a .moment(K) method (DeFinettiMeasure or
     PointMass); the diagonal ensemble has no shared t and is not supported.
+    The class sizes are summed as exact integers and the moments as exact
+    fractions, so only the final scaling rounds.
     """
     if N < 1 or k < 1:
         raise DomainError("N and k must be positive")
-    if k * math.log(max(N, 2)) > math.log(1e8):
-        raise ResourceError(f"N^k = {N}^{k} exceeds the enumeration guard 1e8")
-    moments: dict[int, float] = {}
-    total = 0.0
-    for cls in enumerate_classes(k):
-        odd = cls.odd_edge_count
-        if odd not in moments:
-            moments[odd] = m.moment(odd)
-        total += cls.count_at(N) * moments[odd]
-    return total / N ** (1.0 + k * gamma)
+    if not math.isfinite(gamma):
+        raise DomainError(f"gamma must be finite, got {gamma}")
+    counts = class_table(k).counts.T.tolist()  # [odd][rho]
+    total = Fraction(0)
+    for odd, by_rho in enumerate(counts):
+        if any(by_rho):
+            tuples = sum(c * falling_factorial(N, rho)
+                         for rho, c in enumerate(by_rho) if c)
+            total += tuples * Fraction(m.moment(odd))
+    # the walks number N^k, so total / N^k is a moment average in [-1, 1]
+    return float(total / N ** k) * N ** (k - 1 - k * gamma)
 
 
 def verify_simple_edge_bound(k_max: int) -> dict:
@@ -157,25 +239,24 @@ def verify_simple_edge_bound(k_max: int) -> dict:
     class whose loop-deleted graph satisfies rho > k_proper/2 + t has at
     least 2t+1 simple proper edges.  Returns a report dict; violations is
     empty when the bound holds."""
-    if k_max > K_MAX:
-        raise ResourceError(
-            f"k_max={k_max} exceeds the class-enumeration guard ({K_MAX})")
+    _check_walk_length(k_max, "k_max")
     checked = 0
     violations = []
     for k in range(1, k_max + 1):
-        for cls in enumerate_classes(k):
-            st = circuit_stats(cls.canonical)
-            k_proper = sum(nu for (v, w), nu in st.multiplicities.items()
-                           if v != w)
-            checked += 1
-            t = 1
-            while st.rho > k_proper / 2 + t:
-                if not st.sigma_simple_proper >= 2 * t + 1:
-                    violations.append({
-                        "k": k, "canonical": cls.canonical, "t": t,
-                        "rho": st.rho, "k_proper": k_proper,
-                        "sigma_simple_proper": st.sigma_simple_proper})
-                t += 1
+        table = class_table(k)
+        rho = table.rho.astype(np.intp)
+        # the largest t the hypothesis admits is the hardest for the bound
+        t_top = (2 * rho - table.k_proper - 1) // 2
+        sp = table.sigma_simple_proper
+        flagged = np.flatnonzero((t_top >= 1) & (sp <= 2 * t_top))
+        for i in flagged.tolist():
+            violations.extend(
+                {"k": k, "canonical": tuple(table.canonical[i].tolist()),
+                 "t": t, "rho": int(rho[i]),
+                 "k_proper": int(table.k_proper[i]),
+                 "sigma_simple_proper": int(sp[i])}
+                for t in range(1, int(t_top[i]) + 1) if sp[i] < 2 * t + 1)
+        checked += len(rho)
     return {"k_max": k_max, "classes_checked": checked,
             "violations": violations}
 
@@ -193,6 +274,6 @@ def doubled_tree_count(k: int, N: int) -> int:
 def classes_csv_rows(k: int) -> Iterator[tuple]:
     """(k, canonical, rho, sigma_simple, sigma_simple_proper, odd_edge_count)
     rows for the class-table CSV."""
-    for cls in enumerate_classes(k):
-        yield (k, "-".join(map(str, cls.canonical)), cls.rho,
-               cls.sigma_simple, cls.sigma_simple_proper, cls.odd_edge_count)
+    labels = [str(c) for c in range(k + 1)]
+    for c, *cols in _class_rows(k):
+        yield (k, "-".join([labels[v] for v in c]), *cols)

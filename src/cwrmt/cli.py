@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -95,6 +96,14 @@ class ExperimentSpec:
             raise ConfigError("replicas must be >= 1")
         if spec.task != "graphcheck" and not isinstance(spec.ensemble, dict):
             raise ConfigError("'ensemble' must be a mapping")
+        if not isinstance(spec.cells, list):
+            raise ConfigError("'cells' must be a list of [N, k] pairs")
+        for cell in spec.cells:
+            if not (isinstance(cell, (list, tuple)) and len(cell) == 2
+                    and all(type(v) is int and v >= 1 for v in cell)):
+                raise ConfigError(
+                    f"oracle cell {cell!r} must be a pair [N, k] of "
+                    f"integers >= 1")
         tol = dict(_DEFAULT_TOLERANCES)
         tol.update(spec.tolerances)
         spec.tolerances = tol
@@ -322,9 +331,8 @@ def _task_oracle(spec: ExperimentSpec, out: Path) -> dict:
 
 def _task_graphcheck(spec: ExperimentSpec, out: Path) -> dict:
     report = circuits.verify_simple_edge_bound(spec.k_max)
-    rows = []
-    for k in range(1, spec.k_max + 1):
-        rows.extend(circuits.classes_csv_rows(k))
+    rows = itertools.chain.from_iterable(
+        circuits.classes_csv_rows(k) for k in range(1, spec.k_max + 1))
     _write_csv(out / "classes.csv",
                ["k", "canonical", "rho", "sigma_simple",
                 "sigma_simple_proper", "odd_edge_count"], rows)

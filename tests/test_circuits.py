@@ -1,9 +1,11 @@
 """Closed-walk combinatorics: circuit statistics, relabeling classes, the
 exact trace-moment class sum, and the simple-proper-edge bound."""
 
+import dataclasses
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,10 +24,12 @@ from cwrmt import (
     mixing_measure,
     verify_simple_edge_bound,
 )
-from cwrmt.circuits import classes_csv_rows, falling_factorial
+from cwrmt import circuits
+from cwrmt.circuits import class_table, classes_csv_rows, falling_factorial
 from cwrmt.errors import DomainError, ResourceError
 
-BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
+BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570,
+        4213597]
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +145,7 @@ def test_enumeration_guards():
     with pytest.raises(DomainError):
         enumerate_classes(0)
     with pytest.raises(ResourceError):
-        enumerate_classes(11)
+        enumerate_classes(13)
 
 
 def test_csv_rows_shape():
@@ -149,6 +153,78 @@ def test_csv_rows_shape():
     assert len(rows) == BELL[3]
     assert rows[0][0] == 3
     assert all(len(r) == 6 for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# class table
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_table_columns_match_circuit_stats(k):
+    t = class_table(k)
+    for i, canonical in enumerate(map(tuple, t.canonical.tolist())):
+        st_ = circuit_stats(canonical)
+        k_proper = sum(nu for (v, w), nu in st_.multiplicities.items()
+                       if v != w)
+        assert (t.rho[i], t.sigma_simple[i], t.sigma_simple_proper[i],
+                t.odd_edge_count[i], t.k_proper[i]) == \
+            (st_.rho, st_.sigma_simple, st_.sigma_simple_proper,
+             st_.odd_edge_count, k_proper)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_table_counts_bell_and_partition_identity(k):
+    # reads only the (rho, odd) count matrix: no class objects at k = 11, 12
+    counts = class_table(k).counts
+    assert int(counts.sum()) == BELL[k]
+    by_rho = counts.sum(axis=1).tolist()
+    for N in range(1, k + 1):
+        assert sum(c * falling_factorial(N, rho)
+                   for rho, c in enumerate(by_rho)) == N**k
+
+
+def test_table_is_cached_and_read_only():
+    t = class_table(6)
+    assert class_table(6) is t
+    for arr in (t.canonical, t.rho, t.sigma_simple, t.sigma_simple_proper,
+                t.odd_edge_count, t.k_proper, t.counts):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+# exact_trace_moment(full_cw beta=0.5 measure, N, k, 0.5) before the class
+# table replaced per-class float summation
+ORACLE_CELLS_BEFORE = {
+    (4, 2): 1.0, (4, 4): 1.7839533228963267, (5, 4): 1.8216040258474187,
+    (6, 6): 4.2331510618876855, (4, 8): 9.696250262147876,
+    (6, 8): 11.05885406568049, (4, 10): 26.61519455883256,
+    (6, 10): 31.840067229832034}
+
+
+@pytest.mark.parametrize("N,k", sorted(ORACLE_CELLS_BEFORE))
+def test_exact_moment_matches_fraction_sum(N, k):
+    m = mixing_measure(EnsembleConfig(kind="full_cw", N=N, beta=0.5))
+    tuples = Counter()
+    for c in enumerate_classes(k):
+        tuples[c.odd_edge_count] += c.count_at(N)
+    exact = sum(n * Fraction(m.moment(odd))
+                for odd, n in tuples.items()) / N ** (1 + k // 2)
+    got = exact_trace_moment(m, N, k, 0.5)
+    assert abs(Fraction(got) - exact) <= Fraction(1, 10**15) * abs(exact)
+    before = ORACLE_CELLS_BEFORE[(N, k)]
+    assert got == pytest.approx(before, rel=1e-12, abs=0)
+
+
+def test_exact_moment_large_N_catalan():
+    # N^k = 1e72: exact integer class sizes, no overflow or guard on N
+    assert exact_trace_moment(PointMass(0.0), 10**6, 12, 0.5) == \
+        pytest.approx(132.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -math.inf])
+def test_exact_moment_rejects_non_finite_gamma(gamma):
+    with pytest.raises(DomainError):
+        exact_trace_moment(PointMass(0.0), 4, 2, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +303,7 @@ def test_supercritical_growth_and_decay():
 
 def test_resource_guards():
     with pytest.raises(ResourceError):
-        exact_trace_moment(PointMass(0.0), 1000, 8, 0.5)
+        exact_trace_moment(PointMass(0.0), 1000, 13, 0.5)
     with pytest.raises(DomainError):
         exact_trace_moment(PointMass(0.0), 0, 2, 0.5)
 
@@ -272,7 +348,40 @@ def test_simple_edge_bound_no_violations(k_max):
 
 def test_simple_edge_bound_guard():
     with pytest.raises(ResourceError):
-        verify_simple_edge_bound(11)
+        verify_simple_edge_bound(13)
+
+
+def test_simple_edge_bound_reports_each_violated_t(monkeypatch):
+    # with every simple proper edge removed from the table, the bound fails
+    # for exactly the (class, t) pairs the per-t loop of the theorem admits
+    real = circuits.class_table
+
+    def stripped(k):
+        t = real(k)
+        return dataclasses.replace(
+            t, sigma_simple_proper=np.zeros_like(t.sigma_simple_proper))
+
+    monkeypatch.setattr(circuits, "class_table", stripped)
+    expected = []
+    for k in range(1, 7):
+        for c in enumerate_classes(k):
+            st_ = circuit_stats(c.canonical)
+            k_proper = sum(nu for (v, w), nu in st_.multiplicities.items()
+                           if v != w)
+            t = 1
+            while st_.rho > k_proper / 2 + t:
+                expected.append({"k": k, "canonical": c.canonical, "t": t,
+                                 "rho": st_.rho, "k_proper": k_proper,
+                                 "sigma_simple_proper": 0})
+                t += 1
+    assert expected
+    assert verify_simple_edge_bound(6)["violations"] == expected
+
+
+@pytest.mark.parametrize("k_max", [0, -1])
+def test_simple_edge_bound_rejects_vacuous_k_max(k_max):
+    with pytest.raises(DomainError):
+        verify_simple_edge_bound(k_max)
 
 
 # ---------------------------------------------------------------------------

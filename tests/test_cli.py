@@ -186,7 +186,7 @@ def test_main_resource_error(tmp_path, capsys):
         "task": "oracle",
         "ensemble": {"kind": "full_cw", "N": 50, "beta": 0.5},
         "replicas": 200,
-        "cells": [[50, 6]],
+        "cells": [[4, 13]],
         "output_dir": str(tmp_path)}))
     code = main(["run", "--config", str(cfg_path)])
     assert code == EXIT_RESOURCE
@@ -240,6 +240,32 @@ def test_main_domain_errors_are_config_errors(tmp_path, capsys, argv):
     code = main(["run", *argv, "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_main_graphcheck_needs_a_walk_length(tmp_path, capsys):
+    # k_max < 1 would check no class at all and still report PASS
+    code = main(["run", "--task", "graphcheck", "--k-max", "0",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "k_max must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cells,named", [
+    ([[4]], "[4]"), ([[4.5, 2]], "[4.5, 2]"), ([[4, 0]], "[4, 0]"),
+    ([[True, 2]], "[True, 2]"), ([[4, 2, 1]], "[4, 2, 1]"), (5, "'cells'")])
+def test_main_bad_oracle_cell(tmp_path, capsys, cells, named):
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps({
+        "task": "oracle",
+        "ensemble": {"kind": "full_cw", "beta": 0.5},
+        "replicas": 200,
+        "cells": cells,
+        "output_dir": str(tmp_path)}))
+    code = main(["run", "--config", str(cfg_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert named in err
 
 
 @pytest.mark.parametrize("cap", ["abc", "0", "-2", "1.5"])
