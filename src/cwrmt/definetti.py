@@ -1,9 +1,10 @@
 """Mixing measures on (-1, 1) of the form e^{-S F(t)/2} / (1 - t^2).
 
-Provides the Curie-Weiss potential F_beta with analytic derivatives, log-domain
-quadrature (in the substituted variable y = artanh t, which absorbs the
-1/(1-t^2) endpoint factor), exact moments, inverse-CDF sampling, minimum
-classification, and the matching Laplace-method asymptotics for moments.
+Provides the Curie-Weiss potential F_beta with analytic derivatives, exact
+moments, inverse-CDF sampling, minimum classification, and the matching
+Laplace-method asymptotics for moments.  A measure is computed in
+y = artanh t, where the 1/(1 - t^2) factor is the Jacobian and the density is
+e^{-S (G(y) - G(y*))/2} with G(y) = F(tanh y) and y* its minimum on [0, inf).
 """
 
 from __future__ import annotations
@@ -13,10 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq, minimize_scalar
-from scipy.special import gamma as gamma_fn
-from scipy.special import logsumexp
 
 from .errors import (
     ClassificationError,
@@ -37,11 +34,18 @@ __all__ = [
     "laplace_moment_asymptotic",
 ]
 
-# Quadrature tail cutoff: integrand values more than e^-45 below the peak
-# contribute < 1e-16 of the total mass.
-_LOG_TAIL = 45.0
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_LOGZ_TOL = 1e-11
+_FD_STEP = 1e-4  # central differences for derivatives not given
+_Y_MAX = 18.5  # the minimum is searched on [0, _Y_MAX], where tanh y < 1
+_T_MAX = 1.0 - 2.0**-53  # largest double below 1: |t| beyond it rounds to 1
+# integrand values e^-45 below the peak carry < 1e-16 of the mass; beyond
+# the cutoff the integrand must stay that low out to y = _Y_FAR
+_LOG_TAIL, _Y_FAR = 45.0, 1e6
+_GL16 = np.polynomial.legendre.leggauss(16)
+_GL8 = np.polynomial.legendre.leggauss(8)
+# a panel is split while its 16- and 8-node masses differ by more than
+# _MASS_TOL of the total or the CDF table errs by more than _TABLE_TOL on it
+_MASS_TOL, _TABLE_TOL, _MAX_PANELS = 1e-13, 1e-8, 20_000
+_BREAKS_PER_WIDTH = 2  # initial breaks per Laplace width, out to 8 widths
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +58,9 @@ class Potential:
     endpoints.
 
     `fn` should accept numpy arrays.  Derivative callables are optional;
-    missing ones are replaced by central finite differences with step `fd_step`.
+    missing ones are replaced by central finite differences.  `fn_y`, if
+    given, is the closed y-form fn_y(y, y0) = F(tanh y) - F(tanh y0) for
+    y, y0 >= 0, free of cancellation near y0; measures use it instead of `fn`.
     Only even potentials are supported: `even=False` raises DomainError.
     """
 
@@ -64,7 +70,7 @@ class Potential:
     d4: Callable[[float], float] | None = None
     even: bool = True
     label: str = ""
-    fd_step: float = 1e-4
+    fn_y: Callable[[np.ndarray, float], np.ndarray] | None = None
 
     def __post_init__(self):
         for probe in (1.0 - 1e-6, -(1.0 - 1e-6)):
@@ -79,6 +85,10 @@ class Potential:
         if np.max(np.abs(self(ts) - self(-ts))) > 1e-12:
             raise DomainError(
                 f"potential {self.label!r} flagged even but is not")
+        if self.fn_y is not None and not np.allclose(
+                self.fn_y(np.arctanh(ts), 0.0), self(ts) - self(0.0),
+                rtol=1e-9, atol=1e-12):
+            raise DomainError(f"y-form of {self.label!r} disagrees with fn")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -90,13 +100,13 @@ class Potential:
     def first_derivative(self, t: float) -> float:
         if self.d1 is not None:
             return float(self.d1(t))
-        h = self.fd_step
+        h = _FD_STEP
         return float((self(t + h) - self(t - h)) / (2 * h))
 
     def second_derivative(self, t: float) -> float:
         if self.d2 is not None:
             return float(self.d2(t))
-        h = self.fd_step
+        h = _FD_STEP
         return float((self(t + h) - 2 * self(t) + self(t - h)) / h**2)
 
     def fourth_derivative(self, t: float) -> float:
@@ -104,17 +114,41 @@ class Potential:
             return float(self.d4(t))
         if self.d2 is not None:
             # 2nd difference of the analytic 2nd derivative
-            h = self.fd_step
+            h = _FD_STEP
             return (self.d2(t + h) - 2 * self.d2(t) + self.d2(t - h)) / h**2
-        h = max(self.fd_step, 1e-3)
+        h = max(_FD_STEP, 1e-3)
         c = np.array([1.0, -4.0, 6.0, -4.0, 1.0])
         ts = t + h * np.arange(-2, 3)
         return float(np.dot(c, self(ts)) / h**4)
 
 
+def _excess(p: Potential, y, y0: float) -> np.ndarray:
+    """G(|y|) - G(y0) with G(y) = F(tanh y); +inf where it is not finite."""
+    u = np.abs(np.asarray(y, dtype=float))
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        if p.fn_y is not None:
+            v = p.fn_y(u, y0)
+        else:
+            v = p(np.tanh(u)) - float(p(math.tanh(y0)))
+    return np.where(np.isfinite(v), v, np.inf)
+
+
 def _cw_value(beta: float, t: np.ndarray) -> np.ndarray:
     at = np.arctanh(t)
     return at * at / beta + np.log1p(-t * t)
+
+
+def _cw_excess(beta: float, u: np.ndarray, y0: float) -> np.ndarray:
+    """G(u) - G(y0) for G(y) = y^2/beta - 2 ln cosh y = F_beta(tanh y).
+    ln cosh u - ln cosh y0 = log1p(2 sinh((u+y0)/2) sinh((u-y0)/2) / cosh y0),
+    or (u - y0) + log1p(expm1(-2(u-y0)) / (1 + e^{2 y0})) where sinh overflows.
+    """
+    d = u - y0
+    with np.errstate(over="ignore", invalid="ignore"):
+        near = np.log1p(2.0 * np.sinh(0.5 * (u + y0)) * np.sinh(0.5 * d)
+                        / math.cosh(y0))
+        far = d + np.log1p(np.expm1(-2.0 * d) / (1.0 + math.exp(2.0 * y0)))
+    return d * (u + y0) / beta - 2.0 * np.where(u < 300.0, near, far)
 
 
 def _cw_A(beta, t, u, w):
@@ -145,7 +179,8 @@ def _cw_d4(beta: float, t: float) -> float:
 
 def curie_weiss_potential(beta: float) -> Potential:
     """F_beta(t) = (1/beta) * artanh(t)^2 + ln(1 - t^2), with analytic
-    derivatives.  F_beta''(0) = 2(1-beta)/beta and F_beta''''(0) = 16/beta - 12.
+    derivatives and the y-form y^2/beta - 2 ln cosh y.
+    F_beta''(0) = 2(1-beta)/beta and F_beta''''(0) = 16/beta - 12.
     """
     if not beta > 0:
         raise DomainError(f"beta must be positive, got {beta}")
@@ -155,6 +190,7 @@ def curie_weiss_potential(beta: float) -> Potential:
         d2=lambda t: _cw_d2(beta, t),
         d4=lambda t: _cw_d4(beta, t),
         label=f"curie_weiss(beta={beta:g})",
+        fn_y=lambda y, y0: _cw_excess(beta, y, y0),
     )
 
 
@@ -175,6 +211,18 @@ def log_density_unnormalized(m, t):
 # magnetization and minimum classification
 # ---------------------------------------------------------------------------
 
+def _bisect(rises: Callable[[float], bool], lo: float, hi: float,
+            tol: float) -> float:
+    """Where the predicate `rises` turns from False (at lo) to True (at hi),
+    to within tol or the spacing of doubles."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        lo, hi = (lo, mid) if rises(mid) else (mid, hi)
+    return 0.5 * (lo + hi)
+
+
 def magnetization(beta: float) -> float:
     """Largest non-negative solution of tanh(beta*t) = t.
 
@@ -185,19 +233,10 @@ def magnetization(beta: float) -> float:
         raise DomainError(f"beta must be positive, got {beta}")
     if beta <= 1.0:
         return 0.0
-    lo, hi = 1e-8, 1.0 - 1e-15
-    f = lambda t: math.tanh(beta * t) - t
-    if f(lo) <= 0:  # pathological only for beta extremely close to 1
+    lo = 1e-8
+    if math.tanh(beta * lo) <= lo:  # only for beta extremely close to 1
         lo = 1e-16
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-16:
-            break
-    m = 0.5 * (lo + hi)
+    m = _bisect(lambda t: math.tanh(beta * t) <= t, lo, 1.0 - 1e-15, 1e-16)
     if abs(math.tanh(beta * m) - m) >= 1e-12:
         raise NumericError(f"fixed-point residual too large at beta={beta}")
     return m
@@ -229,29 +268,24 @@ class LaplaceExpansion:
 
 
 _D2_THRESHOLD = 1e-8  # |F''(a)| below this means "not quadratic"
+_SLOPE_STEP = 1e-7  # half-width of the difference that gives the sign of G'
 
 
-def find_minimum(p: Potential) -> LaplaceExpansion:
-    """Locate and classify the minimum of the potential on [0, 1)."""
-    grid = np.linspace(0.0, 1.0 - 1e-7, 20001)
-    vals = p(grid)
-    idx = int(np.argmin(vals))
-    if idx >= len(grid) - 2:
+def _minimum(p: Potential) -> tuple[float, LaplaceExpansion]:
+    """The minimiser y* of G(y) = F(tanh y) on [0, inf) and its expansion."""
+    ys = np.linspace(0.0, _Y_MAX, 4097)
+    vals = _excess(p, ys, 0.0)
+    i = int(np.argmin(vals))
+    if i >= len(ys) - 2 or vals[-1] <= vals[i]:
         raise ClassificationError(
             f"minimum at the boundary t -> 1 for {p.label!r}")
-    lo = grid[max(idx - 1, 0)]
-    hi = grid[idx + 1]
-    res = minimize_scalar(lambda t: float(p(t)), bounds=(lo, hi),
-                          method="bounded", options={"xatol": 1e-13})
-    a = float(res.x)
-    if a < 1e-6:
-        a = 0.0
-    else:
-        # function values locate a quadratic minimum only to ~sqrt(eps);
-        # polish on the first derivative to reach 1e-12
-        wlo, whi = max(a - 1e-6, 0.0), min(a + 1e-6, 1.0 - 1e-9)
-        if p.first_derivative(wlo) < 0 < p.first_derivative(whi):
-            a = float(brentq(p.first_derivative, wlo, whi, xtol=1e-13))
+    h = _SLOPE_STEP
+    y = _bisect(lambda y: float(_excess(p, y + h, y)
+                                - _excess(p, y - h, y)) > 0,
+                ys[max(i - 1, 0)], ys[i + 1], 1e-15)
+    if y < 1e-6:
+        y = 0.0
+    a = math.tanh(y)
     d2 = p.second_derivative(a)
     if abs(d2) > _D2_THRESHOLD:
         if d2 < 0:
@@ -265,16 +299,14 @@ def find_minimum(p: Potential) -> LaplaceExpansion:
                 f"minimum of {p.label!r} flat beyond fourth order; "
                 "cannot classify")
         nu, P = 4, d4 / 24.0
-    return LaplaceExpansion(a=a, nu=nu, P=P, lam=1.0,
-                            Q=1.0 / (1.0 - a * a), F_at_a=float(p(a)))
+    G = float(_excess(p, y, 0.0)) + float(p(0.0))
+    return y, LaplaceExpansion(a=a, nu=nu, P=P, lam=1.0,
+                               Q=math.cosh(y) ** 2, F_at_a=G)
 
 
-def _double_factorial(n: int) -> int:
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
+def find_minimum(p: Potential) -> LaplaceExpansion:
+    """Locate and classify the minimum of the potential on [0, 1)."""
+    return _minimum(p)[1]
 
 
 def laplace_moment_asymptotic(exp: LaplaceExpansion, K: int,
@@ -292,8 +324,10 @@ def laplace_moment_asymptotic(exp: LaplaceExpansion, K: int,
     if K % 2 == 1:
         return 0.0
     if exp.nu == 2:
-        return _double_factorial(K - 1) * exp.P ** (-K / 2) * scale ** (-K / 2)
-    c_k = gamma_fn((K + 1) / 4.0) / gamma_fn(0.25) * 2.0 ** (K / 4.0)
+        # (K-1)!! (P S)^(-K/2)
+        return (math.prod(range(K - 1, 0, -2)) * exp.P ** (-K / 2)
+                * scale ** (-K / 2))
+    c_k = math.gamma((K + 1) / 4.0) / math.gamma(0.25) * 2.0 ** (K / 4.0)
     return c_k * exp.P ** (-K / 4) * scale ** (-K / 4)
 
 
@@ -325,122 +359,155 @@ class PointMass:
         return np.full(size, self.t0)
 
 
+def _nodes(a: np.ndarray, b: np.ndarray, rule):
+    """Gauss-Legendre nodes and weights, one row per panel [a_i, b_i]."""
+    x, w = rule
+    half = 0.5 * (b - a)[:, None]
+    return 0.5 * (a + b)[:, None] + half * x, half * w
+
+
+def _cubic(s, f0, f1, d0, d1):
+    """Cubic Hermite on s in [0, 1] through f0, f1 with end slopes d0, d1
+    (per unit s), kept within [f0, f1]."""
+    df = f1 - f0
+    v = f0 + s * (d0 + s * (3.0 * df - 2.0 * d0 - d1
+                            + s * (d0 + d1 - 2.0 * df)))
+    return np.clip(v, f0, f1)
+
+
+def _hermite(x, xs, fs, dfdx):
+    """The cubic Hermite interpolant of the table (xs, fs, dfdx) at x, which
+    is clipped to the table; xs may repeat, fs must not decrease."""
+    x = np.clip(x, xs[0], xs[-1])
+    i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
+    h = xs[i + 1] - xs[i]
+    return _cubic((x - xs[i]) / h, fs[i], fs[i + 1], h * dfdx[i],
+                  h * dfdx[i + 1])
+
+
 class DeFinettiMeasure:
     """Normalized probability measure e^{-S F(t)/2} / (Z (1-t^2)) on (-1, 1).
 
-    Construction performs the normalizing quadrature eagerly (in the variable
-    y = artanh t, log domain, panel-doubling until logZ is stable to ~1e-11)
-    and builds a monotone inverse-CDF table for sampling.  Instances are
+    Construction does all the numerics eagerly, on y = artanh t >= 0 (the
+    density is even): Gauss-Legendre panels, split where their 16- and 8-node
+    masses disagree, give log Z and the moments; the same panel breaks are
+    the points of one cubic Hermite table of the CDF of |y|, with the density
+    as exact slopes, split until its measured error is at most 1e-8.
+    `sample_t`, `cdf` and `mass` all read that table.  Instances are
     immutable afterwards and safe to share across threads.
     """
 
-    def __init__(self, potential: Potential, scale: float, n_cdf: int = 4096):
-        if not scale > 0:
-            raise DomainError(
-                f"scale must be positive, got {scale} for {potential.label!r}")
+    def __init__(self, potential: Potential, scale: float):
+        if not 0 < scale < math.inf:
+            raise DomainError(f"scale must be positive and finite, got "
+                              f"{scale} for {potential.label!r}")
         self.potential = potential
         self.scale = float(scale)
         self._where = f"{potential.label!r}, scale={self.scale:g}"
-        self.minimum = find_minimum(potential)
-        self._breaks = self._converge_panels()
-        self.log_normalizer = self._log_integral(extra_log=None)
+        self._y0, self.minimum = _minimum(potential)
+        self._build(self._initial_breaks())
+        self.log_normalizer = (-0.5 * self.scale * self.minimum.F_at_a
+                               + math.log(2.0 * self._mass))
         self._moment_cache: dict[int, float] = {}
-        self._build_cdf_table(n_cdf)
+        ts = np.tanh(self._ys)
+        i0 = int(self._ys[0] == 0.0)  # y = 0 appears once in the full table
+        self.cdf_table = (
+            np.concatenate([-ts[::-1], ts[i0:]]),
+            np.concatenate([0.5 - 0.5 * self._us[::-1],
+                            0.5 + 0.5 * self._us[i0:]]))
 
-    # -- quadrature machinery ------------------------------------------------
+    # -- quadrature and table ------------------------------------------------
 
-    def _log_density_y(self, y: np.ndarray) -> np.ndarray:
-        """log of the unnormalized integrand in y = artanh t (the Jacobian
-        cancels the 1/(1-t^2) factor exactly)."""
-        t = np.tanh(np.asarray(y, dtype=float))
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            v = -0.5 * self.scale * self.potential(t)
-        return np.where(np.isfinite(v), v, -np.inf)
+    def _density(self, y) -> np.ndarray:
+        """The integrand in y, e^{-S (G(y) - G(y*))/2}: 1 at the mode."""
+        return np.exp(-0.5 * self.scale * _excess(self.potential, y, self._y0))
 
-    def _mode_info(self):
-        """Mode locations in y and a Gaussian-like width estimate."""
-        a, nu = self.minimum.a, self.minimum.nu
-        y0 = math.atanh(a)
-        if nu == 2:
-            g2 = self.potential.second_derivative(a) * (1 - a * a) ** 2
-            width = math.sqrt(2.0 / (self.scale * g2))
+    def _initial_breaks(self) -> np.ndarray:
+        """Breaks at the mode +- j widths and at the tail cutoffs, where the
+        integrand has dropped below e^-45 (inside, that may be y = 0)."""
+        e, y0 = self.minimum, self._y0
+        if e.nu == 2:
+            width = e.Q * math.sqrt(2.0 / (self.scale * e.P))
         else:
-            g4 = self.potential.fourth_derivative(0.0)
-            width = (48.0 / (self.scale * g4)) ** 0.25
-        modes = [y0] if y0 == 0.0 else [-y0, y0]
-        return modes, width
-
-    def _find_cutoff(self, peak_log: float, start: float) -> float:
-        """Smallest y >= start where the integrand has dropped by e^-45 and
-        stays down all the way to tanh saturation (a rebound means mass is
-        escaping toward the endpoints, i.e. the density is not normalizable).
-        """
-        target = peak_log - _LOG_TAIL
-        y = max(start, 1e-3)
-        for _ in range(200):
-            if float(self._log_density_y(np.asarray(y))) < target:
-                break
-            y *= 1.5
-        else:
+            width = (2.0 / (self.scale * e.P)) ** 0.25
+        steps = width * 2.0 ** np.arange(
+            max(math.log2(_Y_FAR / width), 0.0) + 2.0)
+        with np.errstate(divide="ignore"):
+            low_out = np.log(self._density(y0 + steps)) < -_LOG_TAIL
+            inner = y0 - steps[steps < y0]
+            low_in = np.log(self._density(inner)) < -_LOG_TAIL
+        if not low_out.any():
             raise IntegrabilityError(
                 "integrand tail does not decay; density not normalizable "
                 f"({self._where})")
-        probes = y * 2.0 ** np.arange(1, 12)
-        probes = np.append(probes[probes < 800.0], 800.0)
-        if np.any(self._log_density_y(probes) >= target):
+        k = int(np.argmax(low_out))
+        if not low_out[k:].all():
             raise IntegrabilityError(
                 "integrand rebounds beyond the tail cutoff; "
                 f"density not normalizable ({self._where})")
-        return y
+        hi = y0 + steps[k]
+        lo = inner[np.argmax(low_in)] if low_in.any() else 0.0
+        j = np.arange(-8 * _BREAKS_PER_WIDTH, 8 * _BREAKS_PER_WIDTH + 1)
+        pts = np.concatenate([y0 + width * j / _BREAKS_PER_WIDTH,
+                              y0 + steps, y0 - steps, [lo, hi]])
+        return np.unique(np.clip(pts, lo, hi))
 
-    def _initial_breaks(self) -> np.ndarray:
-        modes, width = self._mode_info()
-        peak_log = float(np.max(self._log_density_y(np.asarray(modes))))
-        Y = self._find_cutoff(peak_log, abs(modes[-1]) + width)
-        pts = [np.linspace(-Y, Y, 17)]
-        for m in modes:
-            lo = max(m - 12 * width, -Y)
-            hi = min(m + 12 * width, Y)
-            if hi > lo:
-                pts.append(np.linspace(lo, hi, 25))
-        breaks = np.unique(np.concatenate(pts))
-        return breaks
-
-    def _panel_nodes(self, breaks: np.ndarray):
-        a, b = breaks[:-1], breaks[1:]
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        ys = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        logw = np.log(half)[:, None] + np.log(_GL_WEIGHTS)[None, :]
-        return ys.ravel(), logw.ravel()
-
-    def _converge_panels(self) -> np.ndarray:
-        breaks = self._initial_breaks()
-        prev = None
-        for _ in range(14):
-            ys, logw = self._panel_nodes(breaks)
-            val = float(logsumexp(self._log_density_y(ys) + logw))
-            if not math.isfinite(val):
+    def _build(self, breaks: np.ndarray):
+        """Split panels until the quadrature and the table both pass."""
+        while True:
+            a, b = breaks[:-1], breaks[1:]
+            ys16, w16 = _nodes(a, b, _GL16)
+            dw = self._density(ys16) * w16
+            ys8, w8 = _nodes(a, b, _GL8)
+            mass8 = (self._density(ys8) * w8).sum(axis=1)
+            cum = np.concatenate([[0.0], np.cumsum(dw.sum(axis=1))])
+            total = cum[-1]
+            if not (math.isfinite(total) and total > 0.0):
                 raise IntegrabilityError(
                     f"normalizing integral not finite ({self._where})")
-            if prev is not None and abs(val - prev) < _LOGZ_TOL:
+            loose = np.abs(cum[1:] - cum[:-1] - mass8) > _MASS_TOL * total
+            # the table ends at the first break whose CDF rounds to 1
+            us = cum / total
+            n = int(np.argmax(us >= 1.0)) + 1
+            ys, us = breaks[:n], us[:n]
+            ps = self._density(ys) / total
+            # slopes dy/du; a density that underflowed gets a huge finite one
+            dydu = 1.0 / np.maximum(ps, 1e-300)
+            err = self._table_error(ys, us, ps, dydu, total)
+            split = loose.copy()
+            split[:n - 1] |= err > _TABLE_TOL
+            if not split.any():
                 break
-            prev = val
-            breaks = np.unique(np.concatenate(
-                [breaks, 0.5 * (breaks[:-1] + breaks[1:])]))
-        else:
-            raise IntegrabilityError(
-                "quadrature failed to converge (divergent refinement) "
-                f"({self._where})")
-        return breaks
+            if len(breaks) + split.sum() > _MAX_PANELS:
+                if loose.any():
+                    raise IntegrabilityError(
+                        "quadrature failed to converge within "
+                        f"{_MAX_PANELS} panels ({self._where})")
+                raise NumericError(
+                    f"inverse-CDF table error {err.max():.3g} exceeds "
+                    f"{_TABLE_TOL:g} within {_MAX_PANELS} panels "
+                    f"({self._where})")
+            breaks = np.sort(np.concatenate([breaks, 0.5 * (a + b)[split]]))
+        self.table_error = float(err.max(initial=0.0))
+        self._mass = total
+        self._w, self._t = dw.ravel(), np.tanh(ys16).ravel()
+        self._ys, self._us, self._ps, self._dydu = ys, us, ps, dydu
 
-    def _log_integral(self, extra_log) -> float:
-        """log of integral of exp(log density + extra_log(y)) dy."""
-        ys, logw = self._panel_nodes(self._breaks)
-        vals = self._log_density_y(ys) + logw
-        if extra_log is not None:
-            vals = vals + extra_log(ys)
-        return float(logsumexp(vals))
+    def _table_error(self, ys, us, ps, dydu, total) -> np.ndarray:
+        """Per table interval: the inverse interpolant's CDF error at the
+        middle u plus the forward interpolant's error at the middle y, each
+        against a 16-node Gauss integral from the interval's left end."""
+        a, b, u0, u1 = ys[:-1], ys[1:], us[:-1], us[1:]
+        hu, hy = u1 - u0, b - a
+        y_inv = _cubic(0.5, a, b, hu * dydu[:-1], hu * dydu[1:])
+        u_fwd = _cubic(0.5, u0, u1, hy * ps[:-1], hy * ps[1:])
+        ymid = 0.5 * (a + b)
+
+        def cdf_at(y):
+            x, w = _nodes(a, y, _GL16)
+            return u0 + (self._density(x) * w).sum(axis=1) / total
+        return (np.abs(cdf_at(y_inv) - 0.5 * (u0 + u1))
+                + np.abs(u_fwd - cdf_at(ymid)))
 
     # -- public surface -------------------------------------------------------
 
@@ -461,100 +528,31 @@ class DeFinettiMeasure:
             return 1.0
         if K % 2 == 1:
             return 0.0
-        if K in self._moment_cache:
-            return self._moment_cache[K]
-        with np.errstate(divide="ignore"):
-            log_num = self._log_integral(
-                lambda y: K * np.log(np.abs(np.tanh(y))))
-        val = math.exp(log_num - self.log_normalizer)
-        self._moment_cache[K] = val
-        return val
+        if K not in self._moment_cache:
+            self._moment_cache[K] = float(
+                np.dot(self._w, self._t**K) / self._mass)
+        return self._moment_cache[K]
 
     def abs_moment(self) -> float:
         """Exact value of integral |t| dmu(t)."""
-        with np.errstate(divide="ignore"):
-            log_num = self._log_integral(
-                lambda y: np.log(np.abs(np.tanh(y))))
-        return math.exp(log_num - self.log_normalizer)
+        return float(np.dot(self._w, self._t) / self._mass)
 
     def mass(self, lo: float, hi: float) -> float:
-        """mu([lo, hi]) via the CDF table interpolant."""
+        """mu([lo, hi]) from the CDF table."""
         return float(self.cdf(hi) - self.cdf(lo))
 
     def cdf(self, t) -> np.ndarray | float:
-        ts, cs = self.cdf_table
-        out = np.interp(np.asarray(t, dtype=float), ts, cs,
-                        left=0.0, right=1.0)
+        arr = np.asarray(t, dtype=float)
+        y = np.arctanh(np.minimum(np.abs(arr), _T_MAX))
+        h = _hermite(y, self._ys, self._us, self._ps)
+        out = 0.5 + np.copysign(0.5 * h, arr)
         return float(out) if np.isscalar(t) else out
 
     def sample_t(self, rng: np.random.Generator, size=None):
-        """Inverse-CDF draw(s) of the latent mean t."""
+        """Inverse-CDF draw(s) of the latent mean t: the sign of 2u - 1 and
+        |y| from the table at |2u - 1|; |t| is kept inside (-1, 1)."""
         u = rng.random() if size is None else rng.random(size)
-        u = np.clip(u, self._cdf_y[0], self._cdf_y_last)
-        y = self._inverse_cdf(u)
-        t = np.tanh(y)
+        v = 2.0 * np.asarray(u) - 1.0
+        y = _hermite(np.abs(v), self._us, self._ys, self._dydu)
+        t = np.copysign(np.minimum(np.tanh(y), _T_MAX), v)
         return float(t) if size is None else t
-
-    # -- CDF table -----------------------------------------------------------
-
-    def _build_cdf_table(self, n_cdf: int):
-        breaks = self._breaks
-        subdiv = max(1, math.ceil(n_cdf / (len(breaks) - 1)))
-        edges = np.unique(np.concatenate(
-            [np.linspace(breaks[i], breaks[i + 1], subdiv + 1)
-             for i in range(len(breaks) - 1)]))
-        a, b = edges[:-1], edges[1:]
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        ys = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        logw = np.log(half)[:, None] + np.log(_GL_WEIGHTS)[None, :]
-        log_inc = logsumexp(self._log_density_y(ys.ravel()).reshape(ys.shape)
-                            + logw, axis=1)
-        log_cum = np.logaddexp.accumulate(log_inc)
-        cdf = np.exp(log_cum - log_cum[-1])
-        cdf = np.concatenate([[0.0], cdf])
-        cdf[-1] = 1.0
-        ts = np.tanh(edges)
-        # keep a strictly increasing table in both coordinates; drop
-        # denormal-tiny CDF steps, which would give unusable interpolant slopes
-        ts_k, cdf_k, ys_k = [], [], []
-        last_t, last_c = -np.inf, -np.inf
-        for t_i, c_i, y_i in zip(ts, cdf, edges):
-            if t_i > last_t and (c_i > last_c + 1e-15 or c_i == 1.0 > last_c):
-                ts_k.append(t_i)
-                cdf_k.append(c_i)
-                ys_k.append(y_i)
-                last_t, last_c = t_i, c_i
-        ts_k = np.asarray(ts_k)
-        cdf_k = np.asarray(cdf_k)
-        ys_k = np.asarray(ys_k)
-        self.cdf_table = (ts_k, cdf_k)
-        self._inverse_cdf = PchipInterpolator(cdf_k, ys_k, extrapolate=False)
-        self._cdf_y = cdf_k
-        self._cdf_y_last = cdf_k[-1]
-        self._table_ys = ys_k
-        err = self._interp_error_estimate()
-        if err > 1e-6:
-            raise NumericError(
-                f"inverse-CDF table error {err:.3g} exceeds 1e-6 "
-                f"({self._where})")
-
-    def _interp_error_estimate(self) -> float:
-        """Max deviation between the interpolated CDF and a direct
-        re-integration, probed at table midpoints."""
-        ys, cdf = self._table_ys, self._cdf_y
-        idx = np.linspace(1, len(ys) - 1, 33, dtype=int)
-        err = 0.0
-        fwd = PchipInterpolator(ys, cdf, extrapolate=False)
-        for i in idx:
-            ym = 0.5 * (ys[i - 1] + ys[i])
-            # fine Gauss integral of the density over [ys[i-1], ym]
-            half = 0.5 * (ym - ys[i - 1])
-            mid = 0.5 * (ym + ys[i - 1])
-            nodes = mid + half * _GL_NODES
-            logw = math.log(half) + np.log(_GL_WEIGHTS)
-            inc = math.exp(
-                logsumexp(self._log_density_y(nodes) + logw)
-                - self.log_normalizer)
-            err = max(err, abs(float(fwd(ym)) - (cdf[i - 1] + inc)))
-        return err

@@ -220,13 +220,14 @@ def test_main_invalid_json(tmp_path, capsys):
 
 
 def test_main_numeric_error(tmp_path, capsys):
-    # beta=8 puts the minimum of F_beta beyond the classification grid
+    # beta=40 puts the minimum of F_beta at y* = artanh t ~ 40, where t
+    # rounds to 1 in double precision
     code = main(["run", "--task", "laplace", "--ensemble", "full_cw",
-                 "--beta", "8", "--out", str(tmp_path)])
+                 "--beta", "40", "--out", str(tmp_path)])
     assert code == EXIT_NUMERIC
     err = capsys.readouterr().err
     assert err.startswith("numeric error:")
-    assert "beta=8" in err
+    assert "beta=40" in err
 
 
 @pytest.mark.parametrize("argv", [

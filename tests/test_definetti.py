@@ -1,14 +1,18 @@
 """Mixing-measure numerics: potentials, quadrature, moments, sampling,
 minimum classification, and asymptotic moment formulas."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
 
 from cwrmt import (
     DeFinettiMeasure,
@@ -21,6 +25,7 @@ from cwrmt import (
     log_density_unnormalized,
     magnetization,
 )
+from cwrmt import definetti
 from cwrmt.ensembles import seed_stream
 from cwrmt.errors import (
     ClassificationError,
@@ -37,6 +42,48 @@ M_OF_1_1 = 0.50294057494464182
 M_OF_1_5 = 0.85855963664011036
 M_OF_2 = 0.95750402407726874
 M_OF_5 = 0.99990912171523255
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" \
+    / "measure_reference.json"
+
+# log Z = log int e^{-S F_beta(t)/2} / (1 - t^2) dt, one cell per beta, from
+# mpmath at 40 and 50 digits (they agree to 1e-39), kept to 30:
+#   import mpmath as mp
+#   def logz(beta, S, dps):
+#       with mp.workdps(dps):
+#           beta, S = mp.mpf(beta), mp.mpf(S)
+#           g = lambda y: y * y / beta - 2 * mp.log(mp.cosh(y))
+#           ys = (mp.findroot(lambda y: y / beta - mp.tanh(y), beta)
+#                 if beta > 1 else mp.mpf(0))
+#           gs = g(ys)
+#           pts = sorted({mp.mpf(0), ys, *[
+#               p for k in range(60)
+#               for p in (ys + 2**k / mp.sqrt(S) / 16,
+#                         ys - 2**k / mp.sqrt(S) / 16) if p > 0]})
+#           pts = [p for p in pts if S / 2 * (g(p) - gs) < 2000] + [mp.inf]
+#           I = mp.quad(lambda y: mp.exp(-S / 2 * (g(y) - gs)), pts)
+#           return -S / 2 * gs + mp.log(2 * I)
+#   mp.nstr(logz("5", "1e10", 40), 30)
+LOGZ_PINS = [
+    (0.3, 1e10, "-11.017635861963749321899000324"),
+    (0.99, 1.0, "1.40891336527792202118855530763"),
+    (1.0, 1.7e7, "-2.94602217721088502455620717481"),
+    (1.01, 1e3, "-0.29314483589541199923413255514"),
+    (2.0, 1e6, "326519.02931529376003986494505"),
+    (5.0, 1e10, "18068982380.581042919858500836"),
+    (8.0, 1.0, "5.95865930404459070590617791859"),
+    (15.0, 1.7e7, "115716492.572231383844097042541"),
+]
+
+
+class _FixedUniforms:
+    """Stands in for a Generator: `random(size)` returns the given u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u
 
 
 def _zero_potential():
@@ -158,20 +205,40 @@ class TestNormalize:
         assert np.all(np.diff(ts) > 0)
         assert np.all(np.diff(cs) > 0)
 
+    def test_moments_match_mpmath_reference(self):
+        # all 40 beta x S cells of the 30-digit mpmath table build, and their
+        # moments K = 2..8 agree to 1e-10 relative
+        cells = json.loads(REFERENCE.read_text())["cells"]
+        assert len(cells) == 40
+        worst = 0.0
+        for cell in cells:
+            m = DeFinettiMeasure(curie_weiss_potential(cell["beta"]),
+                                 cell["scale"])
+            for K, want in cell["moments"].items():
+                worst = max(worst, abs(m.moment(int(K)) / float(want) - 1.0))
+        assert worst < 1e-10
+
     @pytest.mark.parametrize("beta,scale", [(0.5, 1e4), (2.0, 1e4), (1.0, 1e3)])
     def test_self_convergence_under_refinement(self, beta, scale):
-        # doubling the panel count changes log Z by less than 1e-9
+        # halving every panel of the table changes log Z by less than 1e-9
         m = DeFinettiMeasure(curie_weiss_potential(beta), scale)
-        breaks = m._breaks
-        doubled = np.unique(np.concatenate(
-            [breaks, 0.5 * (breaks[:-1] + breaks[1:])]))
-        ys, logw = m._panel_nodes(doubled)
-        refined = float(logsumexp(m._log_density_y(ys) + logw))
+        ys = m._ys
+        doubled = np.unique(np.concatenate([ys, 0.5 * (ys[:-1] + ys[1:])]))
+        x, w = definetti._nodes(doubled[:-1], doubled[1:], definetti._GL16)
+        mass = float((m._density(x) * w).sum())
+        refined = -0.5 * scale * m.minimum.F_at_a + math.log(2.0 * mass)
         assert abs(refined - m.log_normalizer) < 1e-9
+
+    @pytest.mark.parametrize("beta,scale,want", LOGZ_PINS,
+                             ids=[f"{b:g}-{s:g}" for b, s, _ in LOGZ_PINS])
+    def test_log_normalizer_matches_mpmath(self, beta, scale, want):
+        m = DeFinettiMeasure(curie_weiss_potential(beta), scale)
+        assert m.normalize() == pytest.approx(float(want), rel=1e-13)
 
     def test_concentration_with_increasing_scale(self):
         pot = curie_weiss_potential(0.5)
-        masses = [DeFinettiMeasure(pot, S).mass(-0.1, 0.1)
+        # +-0.01 is 1 and 10 standard deviations at S = 1e4 and 1e6
+        masses = [DeFinettiMeasure(pot, S).mass(-0.01, 0.01)
                   for S in (1e2, 1e4, 1e6)]
         assert masses[0] < masses[1] < masses[2] <= 1.0 + 1e-12
         assert masses[2] > 1.0 - 1e-9
@@ -273,6 +340,27 @@ class TestSampling:
         m = DeFinettiMeasure(curie_weiss_potential(0.5), 1e4)
         draws = m.sample_t(rng, size=10_000)
         assert np.mean(np.abs(draws) < 0.05) >= 0.99
+
+    @pytest.mark.parametrize("beta", [0.5, 1.5, 2.0])
+    @pytest.mark.parametrize("scale", [1e4, 1e6])
+    def test_cdf_inverts_sampler(self, beta, scale):
+        # cdf and sample_t read one table, so cdf undoes the sampler's map
+        # u -> t up to the table's error bound, 1e-8
+        m = DeFinettiMeasure(curie_weiss_potential(beta), scale)
+        u = np.concatenate([np.linspace(0.0, 1.0, 100_001)[:-1],
+                            0.5 + np.linspace(-1e-6, 1e-6, 1001),
+                            [1e-12, 1.0 - 1e-12]])
+        t = m.sample_t(_FixedUniforms(u), size=len(u))
+        assert np.max(np.abs(m.cdf(t) - u)) <= 1e-8
+        assert m.table_error <= 1e-8
+
+    def test_draws_stay_inside_open_interval(self, rng):
+        # at beta = 15, S = 1 about a tenth of the mass lies at y > 19, where
+        # tanh y rounds to 1; draws keep |t| < 1, the support of the measure
+        m = DeFinettiMeasure(curie_weiss_potential(15.0), 1.0)
+        draws = m.sample_t(rng, size=10_000)
+        assert np.all(np.abs(draws) < 1.0)
+        assert np.mean(draws == np.nextafter(1.0, 0.0)) > 0.01
 
     def test_point_mass_sampling(self, rng):
         pm = PointMass(0.3)
@@ -429,19 +517,55 @@ def test_non_even_potential_rejected():
 
 
 def test_classification_error_names_beta():
-    with pytest.raises(ClassificationError, match="beta=8"):
-        DeFinettiMeasure(curie_weiss_potential(8.0), 1e4)
+    # every Curie-Weiss beta of the reference grid builds; a minimum flat
+    # beyond fourth order still cannot be classified, and the message names
+    # the potential
+    sextic = Potential(fn=lambda t: np.asarray(t, dtype=float) ** 6,
+                       d2=lambda t: 30.0 * t**4, d4=lambda t: 360.0 * t**2,
+                       label="sextic")
+    with pytest.raises(ClassificationError, match="sextic"):
+        DeFinettiMeasure(sextic, 1e4)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
+def test_scale_must_be_positive_and_finite(scale):
+    with pytest.raises(DomainError, match="positive and finite"):
+        DeFinettiMeasure(curie_weiss_potential(0.5), scale)
 
 
 def test_integrability_error_names_beta_and_scale():
-    with pytest.raises(IntegrabilityError, match=r"beta=5.*scale=1e\+06"):
-        DeFinettiMeasure(curie_weiss_potential(5.0), 1e6)
+    bump = Potential(
+        fn=lambda t: np.asarray(t, dtype=float) ** 2
+        * (1.0 - np.asarray(t, dtype=float) ** 2), label="bump")
+    with pytest.raises(IntegrabilityError, match=r"bump.*scale=1e\+06"):
+        DeFinettiMeasure(bump, 1e6)
 
 
 def test_coarse_cdf_table_raises(monkeypatch):
-    # a table whose interpolation error exceeds 1e-6 is an error, not a
-    # reason to switch samplers
-    monkeypatch.setattr(DeFinettiMeasure, "_interp_error_estimate",
-                        lambda self: 1e-3)
+    # a table that cannot meet its error bound within the panel budget is an
+    # error, not a reason to switch samplers
+    monkeypatch.setattr(definetti, "_TABLE_TOL", 0.0)
     with pytest.raises(NumericError, match=r"beta=0.5.*scale=1000"):
         DeFinettiMeasure(curie_weiss_potential(0.5), 1e3)
+
+
+def test_supercritical_minimum_in_y():
+    # beta = 15 puts m(beta) within 2e-13 of 1; the minimum is found in y,
+    # at y* = beta m(beta), and a, Q and F(a) match their closed forms there
+    exp = find_minimum(curie_weiss_potential(15.0))
+    m = magnetization(15.0)
+    assert exp.nu == 2
+    assert exp.a == pytest.approx(m, abs=1e-15)
+    assert exp.Q == pytest.approx(math.cosh(15.0 * m) ** 2, rel=1e-14)
+    assert exp.F_at_a == pytest.approx(
+        15.0 * m * m - 2.0 * math.log(math.cosh(15.0 * m)), rel=1e-14)
+
+
+def test_import_does_not_load_scipy():
+    code = ("import sys, cwrmt; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
