@@ -13,8 +13,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ensembles import (EnsembleConfig, _cw_measure, mixing_measure,
-                        seed_stream)
+from . import ensembles
+from .ensembles import EnsembleConfig, _cw_measure, _latent, seed_stream
 from .errors import DomainError, UnsupportedEnsembleError
 
 __all__ = [
@@ -67,20 +67,13 @@ def mc_correlation(cfg: EnsembleConfig, positions, replicas: int,
         rng = seed_stream(cfg.seed, cfg.replica_index, "mc")
     if cfg.kind == "diagonal_cw":
         diags = sorted({j - i for (i, j) in sym})
-        scale_ = (float(cfg.N) if cfg.diagonal_law == "ambient" else None)
-        probs = np.empty((replicas, len(sym)))
-        for d_idx, d in enumerate(diags):
-            s = scale_ if scale_ is not None else float(cfg.N - d)
-            m = _cw_measure(cfg.beta, s)
-            ts = np.atleast_1d(m.sample_t(rng, size=replicas))
-            for p_idx, (i, j) in enumerate(sym):
-                if j - i == d:
-                    probs[:, p_idx] = 0.5 * (1.0 + ts)
+        ts = _cw_measure(cfg.beta, float(cfg.N)).sample_t(
+            rng, size=(len(diags), replicas)).T
+        ts = ts[:, [diags.index(j - i) for (i, j) in sym]]
     else:
-        m = mixing_measure(cfg)
-        ts = np.atleast_1d(m.sample_t(rng, size=replicas))
-        probs = np.repeat(0.5 * (1.0 + ts)[:, None], len(sym), axis=1)
-    spins = np.where(rng.random((replicas, len(sym))) < probs, 1.0, -1.0)
+        ts = _latent(cfg, rng, replicas)
+    spins = np.where(rng.random((replicas, len(sym))) < 0.5 * (1.0 + ts),
+                     1.0, -1.0)
     prod = spins.prod(axis=1)
     est = float(prod.mean())
     stderr = float(prod.std(ddof=1) / math.sqrt(replicas))
@@ -94,8 +87,7 @@ def mc_trace_moment(cfg: EnsembleConfig, k: int, gamma: float, replicas: int,
     and eigensolves; the stochastic counterpart of the exact class-sum."""
     if cfg.kind == "diagonal_cw":
         raise UnsupportedEnsembleError(
-            "trace-moment MC batches require a single shared latent t")
-    from .ensembles import sample_full_cw_batch
+            "the trace-moment oracle needs a single shared latent t")
     if rng is None:
         rng = seed_stream(cfg.seed, cfg.replica_index, "mc")
     vals = np.empty(replicas)
@@ -103,7 +95,8 @@ def mc_trace_moment(cfg: EnsembleConfig, k: int, gamma: float, replicas: int,
     batch = max(1, min(replicas, int(2e7 // (cfg.N * cfg.N))))
     while done < replicas:
         n = min(batch, replicas - done)
-        _, X = sample_full_cw_batch(cfg, n, rng)
+        # looked up at call time, so a wrapped module attribute is used
+        _, X = ensembles.sample_full_cw_batch(cfg, n, rng)
         lam = np.linalg.eigvalsh(X.astype(float) / cfg.N**gamma)
         vals[done:done + n] = (lam**k).mean(axis=1)
         done += n

@@ -61,10 +61,6 @@ class EnsembleConfig:
     potential: Potential | None = None
     seed: int = 0
     replica_index: int = 0
-    # diagonal_cw only: "ambient" draws each diagonal's spins as the first
-    # N-k coordinates of an N-spin Curie-Weiss law (mixing scale N);
-    # "length" uses the (N-k)-spin law instead.
-    diagonal_law: str = "ambient"
 
     def __post_init__(self):
         if self.kind not in ("full_cw", "diagonal_cw", "generalized", "iid"):
@@ -80,8 +76,6 @@ class EnsembleConfig:
             if self.potential is None and self.beta is None:
                 raise ConfigError(
                     "generalized kind requires a potential (or beta for F_beta)")
-        if self.diagonal_law not in ("ambient", "length"):
-            raise ConfigError(f"unknown diagonal_law {self.diagonal_law!r}")
         if self.replica_index < 0:
             raise ConfigError("replica_index must be non-negative")
 
@@ -158,108 +152,80 @@ def mixing_measure(cfg: EnsembleConfig):
 # samplers
 # ---------------------------------------------------------------------------
 
-def _spin_fill(N: int, ts, rng: np.random.Generator) -> np.ndarray:
-    """Stack of symmetric matrices, one per latent mean in `ts`, each with
-    conditionally iid spins of that mean (upper triangle incl. diagonal
-    drawn, mirrored)."""
-    ts = np.atleast_1d(ts)
+def _latent(cfg: EnsembleConfig, rng: np.random.Generator,
+            size: int) -> np.ndarray:
+    """Latent means of `size` draws: shape (size, 1) for the kinds with one
+    shared t, (size, N) for diagonal_cw (t_k of diagonal k, mixing scale N)."""
+    if cfg.kind == "diagonal_cw":
+        return _cw_measure(cfg.beta, float(cfg.N)).sample_t(
+            rng, size=(size, cfg.N))
+    return mixing_measure(cfg).sample_t(rng, size=(size, 1))
+
+
+def _spin_fill(N: int, ts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Stack of symmetric matrices, one per row of latent means `ts`: the
+    upper triangle (incl. diagonal) is drawn row by row, entry (i, j) with
+    mean ts[:, |i - j|] (one column: the same mean everywhere), and
+    mirrored."""
     iu = np.triu_indices(N)
+    p = 0.5 * (1.0 + ts)
+    if ts.shape[1] > 1:
+        p = p[:, iu[1] - iu[0]]
     # temporaries stay unnamed so each is freed as soon as it is consumed
-    spins = np.where(
-        rng.random((len(ts), len(iu[0]))) < 0.5 * (1.0 + ts[:, None]),
-        1, -1).astype(np.int8)
+    spins = np.where(rng.random((len(ts), len(iu[0]))) < p,
+                     1, -1).astype(np.int8)
     X = np.zeros((len(ts), N, N), dtype=np.int8)
     X[:, iu[0], iu[1]] = spins
     X[:, iu[1], iu[0]] = spins
     return X
 
 
-def _streams(cfg: EnsembleConfig, rng: np.random.Generator | None):
-    if rng is None:
-        return (seed_stream(cfg.seed, cfg.replica_index, "latent"),
-                seed_stream(cfg.seed, cfg.replica_index, "spins"))
-    children = rng.spawn(2)
-    return children[0], children[1]
+def sample_matrix(cfg: EnsembleConfig) -> SpinMatrix:
+    """One draw of cfg's ensemble: latent means from the replica's "latent"
+    stream, then conditionally iid spins from its "spins" stream.  The iid
+    kind's point mass at 0 records no latent t."""
+    ts = _latent(cfg, seed_stream(cfg.seed, cfg.replica_index, "latent"), 1)
+    X = _spin_fill(cfg.N, ts,
+                   seed_stream(cfg.seed, cfg.replica_index, "spins"))[0]
+    if cfg.kind == "diagonal_cw":
+        latent = ts[0]
+    else:
+        latent = None if cfg.kind == "iid" else float(ts[0, 0])
+    return SpinMatrix(N=cfg.N, entries=X, latent_t=latent, config=cfg)
 
 
-def _sample_shared_t(cfg: EnsembleConfig, rng: np.random.Generator | None,
-                     kind: str) -> SpinMatrix:
-    """Latent t from the mixing measure, then conditionally iid spins with
-    mean t.  The iid kind's point mass at 0 records no latent t."""
+def _sample_kind(cfg: EnsembleConfig, kind: str) -> SpinMatrix:
     if cfg.kind != kind:
         raise ConfigError(f"config kind is {cfg.kind!r}, expected {kind!r}")
-    r_latent, r_spins = _streams(cfg, rng)
-    t = mixing_measure(cfg).sample_t(r_latent)
-    return SpinMatrix(N=cfg.N, entries=_spin_fill(cfg.N, t, r_spins)[0],
-                      latent_t=None if kind == "iid" else t, config=cfg)
+    return sample_matrix(cfg)
 
 
-def sample_full_cw(cfg: EnsembleConfig,
-                   rng: np.random.Generator | None = None) -> SpinMatrix:
-    """One draw of the full Curie-Weiss ensemble: latent t from the mixing
-    measure with scale N^2, then conditionally iid spins with mean t."""
-    return _sample_shared_t(cfg, rng, "full_cw")
+def sample_full_cw(cfg: EnsembleConfig) -> SpinMatrix:
+    """Full Curie-Weiss ensemble: one latent t at mixing scale N^2."""
+    return _sample_kind(cfg, "full_cw")
 
 
-def sample_generalized(cfg: EnsembleConfig,
-                       rng: np.random.Generator | None = None) -> SpinMatrix:
-    """Generalized ensemble: latent t from e^{-N^alpha F(t)/2}/(1-t^2)."""
-    return _sample_shared_t(cfg, rng, "generalized")
-
-
-def sample_iid(cfg: EnsembleConfig,
-               rng: np.random.Generator | None = None) -> SpinMatrix:
-    """iid fair +-1 baseline (symmetric)."""
-    return _sample_shared_t(cfg, rng, "iid")
-
-
-def sample_diagonal_cw(cfg: EnsembleConfig,
-                       rng: np.random.Generator | None = None) -> SpinMatrix:
+def sample_diagonal_cw(cfg: EnsembleConfig) -> SpinMatrix:
     """Diagonal Curie-Weiss ensemble: independent latent t_k per diagonal
-    k = 0..N-1, each diagonal conditionally iid given its t_k."""
-    if cfg.kind != "diagonal_cw":
-        raise ConfigError(f"config kind is {cfg.kind!r}, expected 'diagonal_cw'")
-    r_latent, r_spins = _streams(cfg, rng)
-    N = cfg.N
-    if cfg.diagonal_law == "ambient":
-        m = _cw_measure(cfg.beta, float(N))
-        ts = np.atleast_1d(m.sample_t(r_latent, size=N))
-    else:
-        ts = np.array([
-            _cw_measure(cfg.beta, float(N - k)).sample_t(r_latent)
-            for k in range(N)])
-    X = np.zeros((N, N), dtype=np.int8)
-    for k in range(N):
-        n_k = N - k
-        spins = np.where(r_spins.random(n_k) < 0.5 * (1.0 + ts[k]),
-                         1, -1).astype(np.int8)
-        i = np.arange(n_k)
-        X[i, i + k] = spins
-        X[i + k, i] = spins
-    return SpinMatrix(N=N, entries=X, latent_t=ts, config=cfg)
+    k = 0..N-1, each at mixing scale N."""
+    return _sample_kind(cfg, "diagonal_cw")
 
 
-_SAMPLERS = {
-    "full_cw": sample_full_cw,
-    "diagonal_cw": sample_diagonal_cw,
-    "generalized": sample_generalized,
-    "iid": sample_iid,
-}
+def sample_generalized(cfg: EnsembleConfig) -> SpinMatrix:
+    """Generalized ensemble: latent t from e^{-N^alpha F(t)/2}/(1-t^2)."""
+    return _sample_kind(cfg, "generalized")
 
 
-def sample_matrix(cfg: EnsembleConfig,
-                  rng: np.random.Generator | None = None) -> SpinMatrix:
-    """Dispatch on cfg.kind."""
-    return _SAMPLERS[cfg.kind](cfg, rng)
+def sample_iid(cfg: EnsembleConfig) -> SpinMatrix:
+    """iid fair +-1 baseline (symmetric)."""
+    return _sample_kind(cfg, "iid")
 
 
 def sample_full_cw_batch(cfg: EnsembleConfig, replicas: int,
                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized batch of full-CW (or generalized/iid) draws for Monte Carlo.
-
-    Returns (ts, X) with X of shape (replicas, N, N).  Intended for small N.
-    """
-    ts = np.atleast_1d(mixing_measure(cfg).sample_t(rng, size=replicas))
+    """Batch of draws from one stream for Monte Carlo: latent means (see
+    `_latent`) and X of shape (replicas, N, N).  Intended for small N."""
+    ts = _latent(cfg, rng, replicas)
     return ts, _spin_fill(cfg.N, ts, rng)
 
 

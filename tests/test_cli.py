@@ -277,3 +277,41 @@ def test_main_bad_thread_cap(tmp_path, capsys, monkeypatch, cap):
     assert code == EXIT_CONFIG
     assert f"CWRMT_THREADS must be an integer >= 1, got {cap!r}" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ensemble", [{"kind": "full_cw", "beta": 0.5},
+                                      {"kind": "iid"}])
+def test_main_oracle_exact_cell_passes(tmp_path, capsys, ensemble):
+    # every +-1 matrix has tr X^2 = N^2, so a k=2 cell differs from the
+    # exact value by rounding only, with a stderr of ~1e-17
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps({
+        "task": "oracle", "ensemble": ensemble, "cells": [[6, 2]],
+        "replicas": 200, "seed": 3, "output_dir": str(tmp_path)}))
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("task,field,value,named", [
+    ("esd", "k_max", 0, "k_max must be >= 2, got 0"),
+    ("esd", "k_max", 1, "k_max must be >= 2, got 1"),
+    ("moments", "k_max", 1, "k_max must be >= 2, got 1"),
+    ("esd", "replicas", "2", "replicas must be an integer, got '2'"),
+    ("esd", "replicas", 2.5, "replicas must be an integer, got 2.5"),
+    ("esd", "replicas", True, "replicas must be an integer, got True"),
+    ("moments", "replicas", 1, "replicas must be >= 2, got 1"),
+    ("oracle", "replicas", 1, "replicas must be >= 2, got 1"),
+    ("esd", "seed", -1, "seed must be >= 0, got -1"),
+    ("oracle", "gamma", "x", "gamma must be a number, got 'x'"),
+])
+def test_main_bad_scalar_field(tmp_path, capsys, task, field, value, named):
+    ensemble = ({"kind": "full_cw", "beta": 0.5} if task == "oracle"
+                else {"kind": "iid", "N": 20})
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps({
+        "task": task, "ensemble": ensemble, "replicas": 200,
+        "output_dir": str(tmp_path), field: value}))
+    code = main(["run", "--config", str(cfg_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert named in err

@@ -1,6 +1,7 @@
 """Matrix samplers: symmetry, spin support, latent-variable bookkeeping,
 deterministic streams, and conditional-iid structure."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -98,9 +99,6 @@ def test_config_validation():
         EnsembleConfig(kind="full_cw", N=4)  # missing beta
     with pytest.raises(ConfigError):
         EnsembleConfig(kind="generalized", N=4, beta=0.5)  # missing alpha
-    with pytest.raises(ConfigError):
-        EnsembleConfig(kind="diagonal_cw", N=4, beta=0.5,
-                       diagonal_law="nope")
     with pytest.raises(ConfigError):
         EnsembleConfig(kind="iid", N=4, replica_index=-1)
 
@@ -236,14 +234,6 @@ def test_diagonal_cross_diagonal_decorrelation():
     assert abs(prods.mean()) < 0.1
 
 
-def test_diagonal_length_law_variant():
-    X = sample_diagonal_cw(_cfg("diagonal_cw", 12, seed=37,
-                                diagonal_law="length"))
-    assert np.array_equal(X.entries, X.entries.T)
-    assert np.all(np.abs(X.entries) == 1)
-    assert len(X.latent_t) == 12
-
-
 # ---------------------------------------------------------------------------
 # generalized ensemble
 # ---------------------------------------------------------------------------
@@ -324,3 +314,40 @@ def test_generalized_measure_shared_across_replicas():
     cfg = _cfg("generalized", 30, beta=0.6, alpha=1.0)
     assert mixing_measure(cfg.with_replica(0)) is mixing_measure(
         cfg.with_replica(1))
+
+
+# ---------------------------------------------------------------------------
+# one sampler for every kind
+# ---------------------------------------------------------------------------
+
+# SHA-256 of the int8 entries of one N=9, seed=1 draw; the shared-t kinds'
+# streams are those of the per-kind samplers this one replaced, diagonal_cw's
+# spins are drawn row by row over the upper triangle
+DRAW_SHA256 = {
+    "full_cw": "581e8c0865b37f2cc317d31014470d8ae42c5724cb22a54a89c85e181ca2892d",
+    "diagonal_cw":
+        "cbf862083461314b2ef739750d47cdc45edfcbe53536b11cc785e44b8c4984d3",
+    "generalized":
+        "6a730d757f81af96eee23f26b623df5dd324660701e53067d1aab859fb8fea3d",
+    "iid": "bb83209006af2cbede3695f9db65f18b48f55c6ac3c89da534fc2cf7bbaab26d",
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_draw_streams_pinned(kind):
+    kw = {"iid": {}, "generalized": {"beta": 0.7, "alpha": 1.5}}.get(
+        kind, {"beta": 0.7})
+    X = sample_matrix(EnsembleConfig(kind=kind, N=9, seed=1, **kw))
+    assert hashlib.sha256(X.entries.tobytes()).hexdigest() == \
+        DRAW_SHA256[kind]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_diagonal_spins_follow_their_diagonal_t(seed):
+    # at beta=5 every |t_k| exceeds 0.999, so the mean of a long diagonal
+    # has the sign of its own t_k; a gather with the wrong offset mixes
+    # diagonals of independent signs
+    X = sample_diagonal_cw(_cfg("diagonal_cw", 300, beta=5.0, seed=seed))
+    for k in range(300 - 50 + 1):
+        mean = np.diagonal(X.entries, offset=k).mean()
+        assert np.sign(mean) == np.sign(X.latent_t[k]), k
