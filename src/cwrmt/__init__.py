@@ -19,7 +19,6 @@ from .correlations import (
     CorrelationReport,
     UncorrelatedFit,
     check_approx_uncorrelated,
-    exact_correlation,
     mc_correlation,
     mc_trace_moment,
 )
@@ -31,14 +30,12 @@ from .definetti import (
     curie_weiss_potential,
     find_minimum,
     laplace_moment_asymptotic,
-    log_density_unnormalized,
     magnetization,
 )
 from .ensembles import (
     EnsembleConfig,
     ScaledMatrix,
     SpinMatrix,
-    dump_matrix,
     mixing_measure,
     sample_diagonal_cw,
     sample_full_cw,
@@ -52,8 +49,6 @@ from .spectral import (
     SpectralSummary,
     catalan,
     eigenvalues,
-    esd_moment,
-    ks_distance,
     semicircle_cdf,
     semicircle_moment,
     semicircle_pdf,

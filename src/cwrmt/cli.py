@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import circuits, correlations, definetti, ensembles, spectral
-from .ensembles import EnsembleConfig
+from .ensembles import N_MAX, EnsembleConfig
 from .errors import (
     ClassificationError,
     ConfigError,
@@ -69,11 +69,51 @@ _DEFAULT_TOLERANCES = {
 # Carlo variance (tr X^2 = N^2 for every spin matrix), so its stderr is ~1e-17
 _ORACLE_ROUNDING = 1e-12
 
-# integer fields and their least value, where a task needs more than 1:
-# moments' variance and the oracle's stderr need two replicas, the esd and
-# moments checks read the second moment
-_MIN_REPLICAS = {"moments": 2, "oracle": 2}
-_MIN_K_MAX = {"esd": 2, "moments": 2}
+
+def _field_rules(task: str) -> tuple:
+    """(field, type, least, most) of every checked spec field.  An int lies
+    in [least, most] and a float is finite, > least and <= most; bools are
+    neither.  [type] is a non-empty list of such values (an empty N_grid
+    means the ensemble's N) and [type, type] a pair.  Moments' variance and
+    the oracle's stderr need two replicas; the esd and moments checks read
+    the second moment."""
+    inf = math.inf
+    return (
+        ("replicas", int, 2 if task in ("moments", "oracle") else 1, inf),
+        ("k_max", int, 2 if task in ("esd", "moments") else 1, inf),
+        ("seed", int, 0, inf),
+        ("gamma", float, -inf, inf),
+        ("K_list", [int], 1, inf),
+        ("scales", [float], 0.0, inf),
+        ("N_grid", [int], 1, N_MAX),
+        ("ensemble.N", int, 1, N_MAX),
+        ("ensemble.beta", float, 0.0, inf),
+        ("ensemble.alpha", float, 0.0, inf),
+        ("ensemble.seed", int, 0, inf),
+        *((f"tolerances.{key}", [float, float] if key == "m4_range"
+           else float, -inf, inf) for key in _DEFAULT_TOLERANCES),
+    )
+
+
+def _check_field(name: str, v, typ, lo, hi):
+    """Raise ConfigError naming field and value unless v obeys its row."""
+    if isinstance(typ, list):
+        if not (isinstance(v, list) and (v or name == "N_grid")
+                and len(typ) in (1, len(v))):
+            what = "a pair" if len(typ) == 2 else "a non-empty list"
+            raise ConfigError(f"{name} must be {what}, got {v!r}")
+        for x in v:
+            _check_field(f"{name} entry", x, typ[0], lo, hi)
+    elif type(v) not in ((int,) if typ is int else (int, float)):
+        what = "an integer" if typ is int else "a number"
+        raise ConfigError(f"{name} must be {what}, got {v!r}")
+    elif typ is float and not math.isfinite(v):
+        raise ConfigError(f"{name} must be finite, got {v!r}")
+    elif v < lo or (typ is float and v == lo):
+        bound = f">= {lo}" if typ is int else f"> {lo}"
+        raise ConfigError(f"{name} must be {bound}, got {v!r}")
+    elif v > hi:
+        raise ConfigError(f"{name} must be <= {hi}, got {v!r}")
 
 
 @dataclass
@@ -102,18 +142,22 @@ class ExperimentSpec:
         if spec.task not in _TASK_FNS:
             raise ConfigError(f"unknown task {spec.task!r}; "
                               f"expected one of {tuple(_TASK_FNS)}")
-        for name, lo in (("replicas", _MIN_REPLICAS.get(spec.task, 1)),
-                         ("k_max", _MIN_K_MAX.get(spec.task, 1)),
-                         ("seed", 0)):
-            v = getattr(spec, name)
-            if type(v) is not int:
-                raise ConfigError(f"{name} must be an integer, got {v!r}")
-            if v < lo:
-                raise ConfigError(f"{name} must be >= {lo}, got {v!r}")
-        if type(spec.gamma) not in (int, float):
-            raise ConfigError(f"gamma must be a number, got {spec.gamma!r}")
         if spec.task != "graphcheck" and not isinstance(spec.ensemble, dict):
             raise ConfigError("'ensemble' must be a mapping")
+        ens = spec.ensemble if isinstance(spec.ensemble, dict) else {}
+        if "potential" in ens:
+            raise ConfigError("ensemble.potential cannot be set in a config; "
+                              "give beta for the Curie-Weiss potential")
+        if not isinstance(spec.tolerances, dict):
+            raise ConfigError("'tolerances' must be a mapping")
+        unknown = set(spec.tolerances) - set(_DEFAULT_TOLERANCES)
+        if unknown:
+            raise ConfigError(f"unknown tolerances: {sorted(unknown)}")
+        maps = {"": vars(spec), "ensemble": ens, "tolerances": spec.tolerances}
+        for name, *rule in _field_rules(spec.task):
+            where, _, key = name.rpartition(".")
+            if key in maps[where]:
+                _check_field(name, maps[where][key], *rule)
         if not isinstance(spec.cells, list):
             raise ConfigError("'cells' must be a list of [N, k] pairs")
         for cell in spec.cells:
@@ -122,9 +166,7 @@ class ExperimentSpec:
                 raise ConfigError(
                     f"oracle cell {cell!r} must be a pair [N, k] of "
                     f"integers >= 1")
-        tol = dict(_DEFAULT_TOLERANCES)
-        tol.update(spec.tolerances)
-        spec.tolerances = tol
+        spec.tolerances = {**_DEFAULT_TOLERANCES, **spec.tolerances}
         return spec
 
     def ensemble_config(self, N: int | None = None,

@@ -20,7 +20,6 @@ from .errors import DomainError, UnsupportedEnsembleError
 __all__ = [
     "CorrelationReport",
     "UncorrelatedFit",
-    "exact_correlation",
     "mc_correlation",
     "mc_trace_moment",
     "check_approx_uncorrelated",
@@ -38,23 +37,8 @@ class CorrelationReport:
     beta_or_label: str
 
 
-def exact_correlation(m, K: int) -> float:
-    """E(X_1 ... X_K) at K distinct positions = K-th mixing-measure moment."""
-    return m.moment(K)
-
-
-def _normalize_positions(positions) -> list[tuple[int, int]]:
-    sym = []
-    for (i, j) in positions:
-        sym.append((i, j) if i <= j else (j, i))
-    if len(set(sym)) != len(sym):
-        raise DomainError("positions must be distinct after symmetrization")
-    return sym
-
-
-def mc_correlation(cfg: EnsembleConfig, positions, replicas: int,
-                   rng: np.random.Generator | None = None
-                   ) -> tuple[float, float]:
+def mc_correlation(cfg: EnsembleConfig, positions,
+                   replicas: int) -> tuple[float, float]:
     """Sample mean and standard error of the product of entries at the given
     unordered positions.  Only the needed entries are sampled: for each
     replica a latent t is drawn (per diagonal for the diagonal ensemble) and
@@ -62,9 +46,10 @@ def mc_correlation(cfg: EnsembleConfig, positions, replicas: int,
     """
     if replicas < 100:
         raise DomainError(f"replicas must be >= 100, got {replicas}")
-    sym = _normalize_positions(positions)
-    if rng is None:
-        rng = seed_stream(cfg.seed, cfg.replica_index, "mc")
+    sym = [(min(i, j), max(i, j)) for (i, j) in positions]
+    if len(set(sym)) != len(sym):
+        raise DomainError("positions must be distinct after symmetrization")
+    rng = seed_stream(cfg.seed, cfg.replica_index, "mc")
     if cfg.kind == "diagonal_cw":
         diags = sorted({j - i for (i, j) in sym})
         ts = _cw_measure(cfg.beta, float(cfg.N)).sample_t(
@@ -80,16 +65,16 @@ def mc_correlation(cfg: EnsembleConfig, positions, replicas: int,
     return est, stderr
 
 
-def mc_trace_moment(cfg: EnsembleConfig, k: int, gamma: float, replicas: int,
-                    rng: np.random.Generator | None = None
-                    ) -> tuple[float, float]:
+def mc_trace_moment(cfg: EnsembleConfig, k: int, gamma: float,
+                    replicas: int) -> tuple[float, float]:
     """Monte Carlo estimate of E[(1/N) tr (X/N^gamma)^k] by batched sampling
     and eigensolves; the stochastic counterpart of the exact class-sum."""
     if cfg.kind == "diagonal_cw":
         raise UnsupportedEnsembleError(
             "the trace-moment oracle needs a single shared latent t")
-    if rng is None:
-        rng = seed_stream(cfg.seed, cfg.replica_index, "mc")
+    if replicas < 2:
+        raise DomainError(f"replicas must be >= 2, got {replicas}")
+    rng = seed_stream(cfg.seed, cfg.replica_index, "mc")
     vals = np.empty(replicas)
     done = 0
     batch = max(1, min(replicas, int(2e7 // (cfg.N * cfg.N))))
@@ -110,7 +95,6 @@ class UncorrelatedFit:
     normalized: dict  # N -> N^{ell/2} * observed
     fitted_constant: float
     bounded: bool
-    variance_gap: dict  # N -> |E(prod X^2) - 1|; identically 0 for spins
 
 
 def check_approx_uncorrelated(measures: Mapping[int, object], ell: int,
@@ -144,5 +128,4 @@ def check_approx_uncorrelated(measures: Mapping[int, object], ell: int,
     cond2 = growth_per_decade < 0.05
     return UncorrelatedFit(
         ell=ell, observed=observed, normalized=normalized,
-        fitted_constant=fitted, bounded=bool(cond1 or cond2),
-        variance_gap={N: 0.0 for N in grid})
+        fitted_constant=fitted, bounded=bool(cond1 or cond2))

@@ -28,7 +28,6 @@ __all__ = [
     "LaplaceExpansion",
     "PointMass",
     "curie_weiss_potential",
-    "log_density_unnormalized",
     "magnetization",
     "find_minimum",
     "laplace_moment_asymptotic",
@@ -57,18 +56,16 @@ class Potential:
     """An even potential F on (-1, 1), finite inside and diverging at the
     endpoints.
 
-    `fn` should accept numpy arrays.  Derivative callables are optional;
+    `fn` must accept numpy arrays.  Derivative callables are optional;
     missing ones are replaced by central finite differences.  `fn_y`, if
     given, is the closed y-form fn_y(y, y0) = F(tanh y) - F(tanh y0) for
     y, y0 >= 0, free of cancellation near y0; measures use it instead of `fn`.
-    Only even potentials are supported: `even=False` raises DomainError.
+    Only even potentials are supported: one that is not raises DomainError.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    d1: Callable[[float], float] | None = None
     d2: Callable[[float], float] | None = None
     d4: Callable[[float], float] | None = None
-    even: bool = True
     label: str = ""
     fn_y: Callable[[np.ndarray, float], np.ndarray] | None = None
 
@@ -78,30 +75,17 @@ class Potential:
             if not math.isfinite(v):
                 raise DomainError(
                     f"potential {self.label!r} not finite at t={probe}")
-        if not self.even:
-            raise DomainError(f"potential {self.label!r} is not even; "
-                              "only even potentials are supported")
         ts = np.array([0.1, 0.35, 0.7, 0.95, 1.0 - 1e-6])
         if np.max(np.abs(self(ts) - self(-ts))) > 1e-12:
-            raise DomainError(
-                f"potential {self.label!r} flagged even but is not")
+            raise DomainError(f"potential {self.label!r} is not even; "
+                              "only even potentials are supported")
         if self.fn_y is not None and not np.allclose(
                 self.fn_y(np.arctanh(ts), 0.0), self(ts) - self(0.0),
                 rtol=1e-9, atol=1e-12):
             raise DomainError(f"y-form of {self.label!r} disagrees with fn")
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        try:
-            return np.asarray(self.fn(t), dtype=float)
-        except (TypeError, ValueError):
-            return np.vectorize(self.fn, otypes=[float])(t)
-
-    def first_derivative(self, t: float) -> float:
-        if self.d1 is not None:
-            return float(self.d1(t))
-        h = _FD_STEP
-        return float((self(t + h) - self(t - h)) / (2 * h))
+        return np.asarray(self.fn(np.asarray(t, dtype=float)), dtype=float)
 
     def second_derivative(self, t: float) -> float:
         if self.d2 is not None:
@@ -112,10 +96,6 @@ class Potential:
     def fourth_derivative(self, t: float) -> float:
         if self.d4 is not None:
             return float(self.d4(t))
-        if self.d2 is not None:
-            # 2nd difference of the analytic 2nd derivative
-            h = _FD_STEP
-            return (self.d2(t + h) - 2 * self.d2(t) + self.d2(t - h)) / h**2
         h = max(_FD_STEP, 1e-3)
         c = np.array([1.0, -4.0, 6.0, -4.0, 1.0])
         ts = t + h * np.arange(-2, 3)
@@ -151,26 +131,21 @@ def _cw_excess(beta: float, u: np.ndarray, y0: float) -> np.ndarray:
     return d * (u + y0) / beta - 2.0 * np.where(u < 300.0, near, far)
 
 
-def _cw_A(beta, t, u, w):
+def _cw_A(beta, t, u):
     # helper polynomial in the closed-form derivatives of F_beta
     return (2.0 / beta) * (1.0 + 2.0 * t * u) - 2.0 * (1.0 + t * t)
-
-
-def _cw_d1(beta: float, t: float) -> float:
-    w = 1.0 / (1.0 - t * t)
-    return 2.0 * w * (math.atanh(t) / beta - t)
 
 
 def _cw_d2(beta: float, t: float) -> float:
     u = math.atanh(t)
     w = 1.0 / (1.0 - t * t)
-    return _cw_A(beta, t, u, w) * w * w
+    return _cw_A(beta, t, u) * w * w
 
 
 def _cw_d4(beta: float, t: float) -> float:
     u = math.atanh(t)
     w = 1.0 / (1.0 - t * t)
-    A = _cw_A(beta, t, u, w)
+    A = _cw_A(beta, t, u)
     A1 = (4.0 / beta) * (u + t * w) - 4.0 * t
     A2 = (8.0 / beta) * (w + t * t * w * w) - 4.0
     return (A2 * w**2 + 8.0 * t * A1 * w**3 + 4.0 * A * w**3
@@ -186,25 +161,11 @@ def curie_weiss_potential(beta: float) -> Potential:
         raise DomainError(f"beta must be positive, got {beta}")
     return Potential(
         fn=lambda t: _cw_value(beta, t),
-        d1=lambda t: _cw_d1(beta, t),
         d2=lambda t: _cw_d2(beta, t),
         d4=lambda t: _cw_d4(beta, t),
         label=f"curie_weiss(beta={beta:g})",
         fn_y=lambda y, y0: _cw_excess(beta, y, y0),
     )
-
-
-def log_density_unnormalized(m, t):
-    """log of the unnormalized density -S F(t)/2 - ln(1 - t^2).
-
-    `m` needs only `.potential` and `.scale` attributes, so the value exists
-    even for densities that are not normalizable.
-    """
-    arr = np.asarray(t, dtype=float)
-    if np.any(np.abs(arr) >= 1.0):
-        raise DomainError("t must lie in the open interval (-1, 1)")
-    out = -0.5 * m.scale * m.potential(arr) - np.log1p(-arr * arr)
-    return float(out) if np.isscalar(t) else out
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +208,13 @@ class LaplaceExpansion:
     """Local data of the minimum of a potential on [0, 1).
 
     For a quadratic minimum (nu=2) P = F''(a)/2; for a quartic minimum at 0
-    (nu=4) P = F''''(0)/24.  Q and lam describe the 1/(1-t^2) density factor
-    at the minimum.
+    (nu=4) P = F''''(0)/24.  Q describes the 1/(1-t^2) density factor at the
+    minimum.
     """
 
     a: float
     nu: int
     P: float
-    lam: float
     Q: float
     F_at_a: float
 
@@ -300,8 +260,8 @@ def _minimum(p: Potential) -> tuple[float, LaplaceExpansion]:
                 "cannot classify")
         nu, P = 4, d4 / 24.0
     G = float(_excess(p, y, 0.0)) + float(p(0.0))
-    return y, LaplaceExpansion(a=a, nu=nu, P=P, lam=1.0,
-                               Q=math.cosh(y) ** 2, F_at_a=G)
+    return y, LaplaceExpansion(a=a, nu=nu, P=P, Q=math.cosh(y) ** 2,
+                               F_at_a=G)
 
 
 def find_minimum(p: Potential) -> LaplaceExpansion:
@@ -349,9 +309,6 @@ class PointMass:
         if K < 0:
             raise DomainError(f"K must be non-negative, got {K}")
         return self.t0**K
-
-    def abs_moment(self) -> float:
-        return abs(self.t0)
 
     def sample_t(self, rng, size=None):
         if size is None:
@@ -511,14 +468,6 @@ class DeFinettiMeasure:
 
     # -- public surface -------------------------------------------------------
 
-    def log_density(self, t) -> np.ndarray | float:
-        """log of the unnormalized density -S F(t)/2 - ln(1 - t^2)."""
-        return log_density_unnormalized(self, t)
-
-    def normalize(self) -> float:
-        """Return log Z (computed eagerly at construction)."""
-        return self.log_normalizer
-
     def moment(self, K: int) -> float:
         """Exact K-th moment of the mixing measure by quadrature.  Odd moments
         vanish by symmetry of the even potential, no quadrature involved."""
@@ -532,10 +481,6 @@ class DeFinettiMeasure:
             self._moment_cache[K] = float(
                 np.dot(self._w, self._t**K) / self._mass)
         return self._moment_cache[K]
-
-    def abs_moment(self) -> float:
-        """Exact value of integral |t| dmu(t)."""
-        return float(np.dot(self._w, self._t) / self._mass)
 
     def mass(self, lo: float, hi: float) -> float:
         """mu([lo, hi]) from the CDF table."""

@@ -9,7 +9,6 @@ Rademacher baseline.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -30,7 +29,6 @@ __all__ = [
     "scale",
     "mixing_measure",
     "seed_stream",
-    "dump_matrix",
 ]
 
 N_MAX = 4096
@@ -88,7 +86,6 @@ class SpinMatrix:
     N: int
     entries: np.ndarray  # int8, symmetric, values in {-1, +1}
     latent_t: float | np.ndarray | None
-    config: EnsembleConfig
 
     def __post_init__(self):
         self.entries.setflags(write=False)
@@ -191,7 +188,7 @@ def sample_matrix(cfg: EnsembleConfig) -> SpinMatrix:
         latent = ts[0]
     else:
         latent = None if cfg.kind == "iid" else float(ts[0, 0])
-    return SpinMatrix(N=cfg.N, entries=X, latent_t=latent, config=cfg)
+    return SpinMatrix(N=cfg.N, entries=X, latent_t=latent)
 
 
 def _sample_kind(cfg: EnsembleConfig, kind: str) -> SpinMatrix:
@@ -228,26 +225,3 @@ def sample_full_cw_batch(cfg: EnsembleConfig, replicas: int,
     ts = _latent(cfg, rng, replicas)
     return ts, _spin_fill(cfg.N, ts, rng)
 
-
-# ---------------------------------------------------------------------------
-# plain-text dump
-# ---------------------------------------------------------------------------
-
-def dump_matrix(X: SpinMatrix) -> str:
-    """Header line 'N kind beta alpha seed replica latent_t' followed by N
-    rows of space-separated +-1 entries.  Missing fields are written as 'nan';
-    the diagonal ensemble's latent field is comma-joined."""
-    cfg = X.config
-    if X.latent_t is None:
-        latent = "nan"
-    elif np.ndim(X.latent_t) == 0:
-        latent = repr(float(X.latent_t))
-    else:
-        latent = ",".join(repr(float(v)) for v in X.latent_t)
-    beta = "nan" if cfg.beta is None else repr(float(cfg.beta))
-    alpha = "nan" if cfg.alpha is None else repr(float(cfg.alpha))
-    buf = io.StringIO()
-    buf.write(f"{X.N} {cfg.kind} {beta} {alpha} {cfg.seed} "
-              f"{cfg.replica_index} {latent}\n")
-    np.savetxt(buf, X.entries, fmt="%d")
-    return buf.getvalue()

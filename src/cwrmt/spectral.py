@@ -22,8 +22,7 @@ __all__ = [
     "semicircle_cdf",
     "semicircle_moment",
     "catalan",
-    "ks_distance",
-    "esd_moment",
+    "ks_distance_values",
 ]
 
 _REL_TOL = 1e-8
@@ -108,8 +107,6 @@ class SpectralSummary:
     eigenvalues: np.ndarray  # ascending
     moments: np.ndarray  # (1/N) sum lambda^k, k = 1..k_max
     ks_to_semicircle: float
-    operator_norm: float
-    scaling_exponent: float
 
 
 def summarize(A: ScaledMatrix, k_max: int = 8) -> SpectralSummary:
@@ -119,17 +116,5 @@ def summarize(A: ScaledMatrix, k_max: int = 8) -> SpectralSummary:
         eigenvalues=lam,
         moments=moments,
         ks_to_semicircle=ks_distance_values(lam),
-        operator_norm=float(max(abs(lam[0]), abs(lam[-1]))),
-        scaling_exponent=A.exponent,
     )
 
-
-def ks_distance(s: SpectralSummary) -> float:
-    return ks_distance_values(s.eigenvalues)
-
-
-def esd_moment(s: SpectralSummary, k: int) -> float:
-    """(1/N) sum of lambda^k."""
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    return float(np.mean(s.eigenvalues**k))

@@ -315,3 +315,36 @@ def test_main_bad_scalar_field(tmp_path, capsys, task, field, value, named):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert named in err
+
+
+@pytest.mark.parametrize("task,key,value,named", [
+    ("laplace", "K_list", ["x"], "K_list entry must be an integer, got 'x'"),
+    ("laplace", "scales", ["x"], "scales entry must be a number, got 'x'"),
+    ("laplace", "scales", [], "scales must be a non-empty list, got []"),
+    ("laplace", "ensemble.beta", "x",
+     "ensemble.beta must be a number, got 'x'"),
+    ("laplace", "ensemble.beta", True,
+     "ensemble.beta must be a number, got True"),
+    ("esd", "ensemble.seed", -1, "ensemble.seed must be >= 0, got -1"),
+    ("esd", "ensemble.N", 4.5, "ensemble.N must be an integer, got 4.5"),
+    ("esd", "ensemble.potential", "x", "ensemble.potential cannot be set"),
+    ("esd", "tolerances.ks_meen", 0.5, "unknown tolerances: ['ks_meen']"),
+    ("esd", "tolerances.ks_mean", "x",
+     "tolerances.ks_mean must be a number, got 'x'"),
+    ("correlations", "K_list", [0], "K_list entry must be >= 1, got 0"),
+])
+def test_main_bad_config_field(tmp_path, capsys, task, key, value, named):
+    # every field of the spec, the ensemble mapping and the tolerances table
+    # is checked before the task runs
+    config = {"task": task, "ensemble": {"kind": "generalized", "N": 20,
+                                         "beta": 0.5, "alpha": 1.0},
+              "replicas": 200, "output_dir": str(tmp_path)}
+    where, _, name = key.rpartition(".")
+    (config.setdefault(where, {}) if where else config)[name] = value
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps(config))
+    code = main(["run", "--config", str(cfg_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert named in err

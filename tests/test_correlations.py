@@ -11,7 +11,6 @@ from cwrmt import (
     EnsembleConfig,
     check_approx_uncorrelated,
     curie_weiss_potential,
-    exact_correlation,
     magnetization,
     mc_correlation,
     mc_trace_moment,
@@ -29,25 +28,25 @@ def _cw_measure(beta, scale):
 # ---------------------------------------------------------------------------
 
 def test_exact_zeroth_order():
-    assert exact_correlation(_cw_measure(0.5, 1e3), 0) == 1.0
+    assert _cw_measure(0.5, 1e3).moment(0) == 1.0
 
 
 def test_exact_supercritical_pair():
     m = _cw_measure(2.0, 1e6)
-    assert exact_correlation(m, 2) == pytest.approx(
+    assert m.moment(2) == pytest.approx(
         magnetization(2.0) ** 2, rel=0.01)
 
 
 def test_exact_subcritical_fourth_order():
     # (4-1)!! (beta/(1-beta))^2 / S^2 = 3e-8 at beta=1/2, S=1e4
     m = _cw_measure(0.5, 1e4)
-    assert exact_correlation(m, 4) == pytest.approx(3e-8, rel=0.10)
+    assert m.moment(4) == pytest.approx(3e-8, rel=0.10)
 
 
 def test_exact_odd_orders_vanish():
     m = _cw_measure(1.5, 1e4)
     for K in (1, 3, 5):
-        assert exact_correlation(m, K) == 0.0
+        assert m.moment(K) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +62,7 @@ def test_mc_iid_uncorrelated():
 def test_mc_matches_quadrature_subcritical():
     cfg = EnsembleConfig(kind="full_cw", N=100, beta=0.5, seed=103)
     est, se = mc_correlation(cfg, [(1, 2), (3, 4)], 20_000)
-    exact = exact_correlation(mixing_measure(cfg), 2)
+    exact = mixing_measure(cfg).moment(2)
     assert abs(est - exact) <= 3 * se
 
 
@@ -111,7 +110,6 @@ def test_criterion_full_scale_normalized_to_zero():
     assert fit.bounded
     vals = [fit.normalized[N] for N in grid]
     assert all(a > b for a, b in zip(vals, vals[1:]))
-    assert all(v == 0.0 for v in fit.variance_gap.values())
 
 
 def test_criterion_borderline_scale_bounded():
@@ -168,3 +166,10 @@ def test_laplace_ratio_on_correlation_cases(K):
     devs = [abs(r - 1.0) for r in ratios]
     assert all(a > b for a, b in zip(devs, devs[1:]))
     assert devs[-1] < 0.02
+
+
+def test_mc_trace_moment_needs_two_replicas():
+    # a single replica has no standard error
+    cfg = EnsembleConfig(kind="full_cw", N=4, beta=0.5, seed=137)
+    with pytest.raises(DomainError, match="replicas must be >= 2, got 1"):
+        mc_trace_moment(cfg, 4, 0.5, 1)

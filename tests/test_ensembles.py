@@ -10,7 +10,6 @@ import pytest
 from cwrmt import (
     EnsembleConfig,
     PointMass,
-    dump_matrix,
     mixing_measure,
     sample_diagonal_cw,
     sample_full_cw,
@@ -265,47 +264,6 @@ def test_scale_views():
     assert scale(X, 0.5).exponent == 0.5
     with pytest.raises(DomainError):
         scale(X, -0.5)
-
-
-# ---------------------------------------------------------------------------
-# text dump
-# ---------------------------------------------------------------------------
-
-def test_dump_matrix_roundtrip():
-    cfg = _cfg("full_cw", 5, seed=47)
-    X = sample_full_cw(cfg)
-    text = dump_matrix(X)
-    lines = text.strip().split("\n")
-    head = lines[0].split()
-    assert head[0] == "5"
-    assert head[1] == "full_cw"
-    assert float(head[2]) == 0.5
-    assert head[3] == "nan"
-    assert int(head[4]) == 47
-    assert int(head[5]) == 0
-    assert float(head[6]) == X.latent_t
-    rows = np.array([[int(v) for v in line.split()] for line in lines[1:]])
-    assert np.array_equal(rows, X.entries)
-
-
-def test_dump_matrix_diagonal_latents():
-    X = sample_diagonal_cw(_cfg("diagonal_cw", 3, seed=53))
-    head = dump_matrix(X).split("\n")[0].split()
-    latents = [float(v) for v in head[6].split(",")]
-    assert latents == [float(v) for v in X.latent_t]
-
-
-def test_dump_matrix_iid_nan_fields():
-    X = sample_iid(_cfg("iid", 2, seed=59))
-    head = dump_matrix(X).split("\n")[0].split()
-    assert head[2] == "nan" and head[6] == "nan"
-
-
-def test_dump_matrix_rows_match_reference_format():
-    X = sample_full_cw(_cfg("full_cw", 6, seed=61))
-    rows = dump_matrix(X).split("\n", 1)[1]
-    assert rows == "".join(" ".join(str(int(v)) for v in row) + "\n"
-                           for row in X.entries)
 
 
 def test_generalized_measure_shared_across_replicas():

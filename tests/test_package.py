@@ -1,9 +1,16 @@
 """Package-wide source checks."""
 
 import ast
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import cwrmt
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_no_assert_statements():
@@ -15,3 +22,28 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer wraps module attributes by name and skips the
+    # ones it cannot find; installing it patches the package in place, so it
+    # runs in a subprocess
+    code = ("import sys; sys.path.insert(0, 'perfbench'); "
+            "from tracing import Tracer, install; "
+            "t = Tracer(); install(t); print(t.missing)")
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, check=True,
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout
+    assert out.strip() == "[]"
+
+
+def test_all_entries_resolve():
+    # a name deleted from a module must leave its __all__ too
+    stale = []
+    for info in pkgutil.iter_modules(cwrmt.__path__):
+        module = importlib.import_module(f"cwrmt.{info.name}")
+        stale += [f"{info.name}.{name}"
+                  for name in getattr(module, "__all__", ())
+                  if not hasattr(module, name)]
+    assert stale == []

@@ -10,11 +10,8 @@ from scipy.optimize import brentq
 
 from cwrmt import (
     EnsembleConfig,
-    SpectralSummary,
     catalan,
     eigenvalues,
-    esd_moment,
-    ks_distance,
     sample_full_cw,
     sample_iid,
     scale,
@@ -23,15 +20,14 @@ from cwrmt import (
     semicircle_pdf,
     summarize,
 )
+from cwrmt import spectral
 from cwrmt.ensembles import SpinMatrix
 from cwrmt.errors import DomainError
 
 
 def _spin_matrix(entries):
     entries = np.asarray(entries, dtype=np.int8)
-    cfg = EnsembleConfig(kind="iid", N=entries.shape[0])
-    return SpinMatrix(N=entries.shape[0], entries=entries, latent_t=None,
-                      config=cfg)
+    return SpinMatrix(N=entries.shape[0], entries=entries, latent_t=None)
 
 
 # ---------------------------------------------------------------------------
@@ -148,25 +144,16 @@ def test_eigen_residuals():
 # Kolmogorov distance
 # ---------------------------------------------------------------------------
 
-def _summary_from(lams):
-    lams = np.sort(np.asarray(lams, dtype=float))
-    return SpectralSummary(
-        eigenvalues=lams,
-        moments=np.array([float(np.mean(lams**k)) for k in range(1, 5)]),
-        ks_to_semicircle=0.0,
-        operator_norm=float(max(abs(lams[0]), abs(lams[-1]))),
-        scaling_exponent=0.5)
-
-
 def test_ks_at_exact_quantiles():
     n = 64
     qs = [brentq(lambda x, p=p: semicircle_cdf(x) - p, -2.0, 2.0)
           for p in ((i - 0.5) / n for i in range(1, n + 1))]
-    assert ks_distance(_summary_from(qs)) <= 1.0 / (2 * n) + 1e-9
+    assert spectral.ks_distance_values(np.array(qs)) <= 1.0 / (2 * n) + 1e-9
 
 
 def test_ks_single_atom():
-    assert ks_distance(_summary_from([0.0])) == pytest.approx(0.5, abs=1e-12)
+    assert spectral.ks_distance_values(np.array([0.0])) == pytest.approx(
+        0.5, abs=1e-12)
 
 
 def test_ks_iid_baseline():
@@ -183,10 +170,6 @@ def test_summary_fields_and_norm_consistency():
     cfg = EnsembleConfig(kind="iid", N=200, seed=71)
     s = summarize(scale(sample_iid(cfg), 0.5), k_max=6)
     assert np.all(np.diff(s.eigenvalues) >= 0)
-    assert s.operator_norm == max(abs(s.eigenvalues[0]),
-                                  abs(s.eigenvalues[-1]))
-    assert s.operator_norm <= math.sqrt(np.sum(s.eigenvalues**2))
-    assert s.scaling_exponent == 0.5
     assert len(s.moments) == 6
 
 
@@ -196,13 +179,13 @@ def test_second_esd_moment_is_deterministic():
         cfg = EnsembleConfig(kind=kind, N=150, seed=73, **kw)
         from cwrmt import sample_matrix
         s = summarize(scale(sample_matrix(cfg), 0.5))
-        assert esd_moment(s, 2) == pytest.approx(1.0, abs=1e-12)
+        assert s.moments[1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_first_esd_moment_small_iid():
     cfg = EnsembleConfig(kind="iid", N=1000, seed=79)
     s = summarize(scale(sample_iid(cfg), 0.5))
-    assert abs(esd_moment(s, 1)) < 0.1
+    assert abs(s.moments[0]) < 0.1
 
 
 def test_odd_esd_moments_center_on_zero():
@@ -210,14 +193,8 @@ def test_odd_esd_moments_center_on_zero():
     for r in range(10):
         cfg = EnsembleConfig(kind="full_cw", N=300, beta=0.5, seed=83,
                              replica_index=r)
-        vals.append(esd_moment(summarize(scale(sample_full_cw(cfg), 0.5)), 3))
+        vals.append(summarize(scale(sample_full_cw(cfg), 0.5)).moments[2])
     vals = np.array(vals)
     stderr = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean()) < 3 * stderr + 1e-6
 
-
-def test_esd_moment_guard():
-    cfg = EnsembleConfig(kind="iid", N=10, seed=89)
-    s = summarize(scale(sample_iid(cfg), 0.5))
-    with pytest.raises(DomainError):
-        esd_moment(s, 0)
