@@ -16,7 +16,6 @@ from .circuits import (
     verify_simple_edge_bound,
 )
 from .correlations import (
-    CorrelationReport,
     UncorrelatedFit,
     check_approx_uncorrelated,
     mc_correlation,
@@ -37,10 +36,6 @@ from .ensembles import (
     ScaledMatrix,
     SpinMatrix,
     mixing_measure,
-    sample_diagonal_cw,
-    sample_full_cw,
-    sample_generalized,
-    sample_iid,
     sample_matrix,
     scale,
     seed_stream,

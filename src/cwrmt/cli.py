@@ -79,7 +79,7 @@ def _field_rules(task: str) -> tuple:
     the second moment."""
     inf = math.inf
     return (
-        ("replicas", int, 2 if task in ("moments", "oracle") else 1, inf),
+        ("replicas", int, 2 if task in ("moments", "oracle") else 1, 10**7),
         ("k_max", int, 2 if task in ("esd", "moments") else 1, inf),
         ("seed", int, 0, inf),
         ("gamma", float, -inf, inf),
@@ -325,51 +325,49 @@ def _task_norm(spec: ExperimentSpec, out: Path) -> dict:
     return {"per_N": {str(N): v for N, v in per_N.items()}, "checks": checks}
 
 
-def _exact_and_laplace(beta, K: int, s) -> tuple[float, float]:
-    """K-th moment of the Curie-Weiss mixing measure at scale s (cached) and
-    its Laplace asymptotic."""
-    measure = ensembles._cw_measure(beta, float(s))
-    return measure.moment(K), definetti.laplace_moment_asymptotic(
-        measure.minimum, K, float(s))
+def _laplace_rows(spec: ExperimentSpec) -> list:
+    """(K, scale, exact, asymptotic) for every K x scale of the spec,
+    K-major: the K-th moment of the Curie-Weiss mixing measure at that scale
+    (cached) and its Laplace asymptotic."""
+    beta = spec.ensemble.get("beta")
+    if beta is None:
+        raise ConfigError(f"{spec.task} task requires ensemble.beta")
+    rows = []
+    for K in spec.K_list:
+        for s in map(float, spec.scales):
+            measure = ensembles._cw_measure(beta, s)
+            rows.append((K, s, measure.moment(K),
+                         definetti.laplace_moment_asymptotic(
+                             measure.minimum, K, s)))
+    return rows
 
 
 def _task_correlations(spec: ExperimentSpec, out: Path) -> dict:
     tol = spec.tolerances
-    beta = spec.ensemble.get("beta")
-    if beta is None:
-        raise ConfigError("correlations task requires ensemble.beta")
-    label = f"beta={beta:g}"
-    rows, reports = [], []
+    cells = _laplace_rows(spec)
+    label = f"beta={spec.ensemble['beta']:g}"
     mc_cfg = spec.ensemble_config(replica=0)
-    for K in spec.K_list:
-        positions = [(2 * i + 1, 2 * i + 2) for i in range(K)]
-        mc_est, mc_err = correlations.mc_correlation(
-            mc_cfg, positions, max(spec.replicas, 100))
-        for s in spec.scales:
-            exact, asym = _exact_and_laplace(beta, K, s)
-            rep = correlations.CorrelationReport(
-                K=K, exact=exact, asymptotic=asym,
-                mc_estimate=mc_est, mc_stderr=mc_err,
-                scale=float(s), beta_or_label=label)
-            reports.append(rep)
-            rows.append((label, K, float(s), rep.exact, rep.asymptotic,
-                         mc_est, mc_err))
+    mc = {K: correlations.mc_correlation(
+              mc_cfg, [(2 * i + 1, 2 * i + 2) for i in range(K)],
+              max(spec.replicas, 100))
+          for K in spec.K_list}
+    reports = [{"K": K, "exact": exact, "asymptotic": asym,
+                "mc_estimate": mc[K][0], "mc_stderr": mc[K][1],
+                "scale": s, "beta_or_label": label}
+               for K, s, exact, asym in cells]
     _write_csv(out / "correlations.csv",
                ["label", "K", "scale", "exact", "asymptotic", "mc_estimate",
-                "mc_stderr"], rows)
-    largest = max(spec.scales)
-    checks = {}
-    for K in spec.K_list:
-        rep = next(r for r in reports
-                   if r.K == K and r.scale == float(largest))
-        if rep.asymptotic != 0:
-            checks[f"laplace_ratio_K{K}"] = (
-                abs(rep.exact / rep.asymptotic - 1.0)
-                < tol["laplace_ratio"] * 5)
-    return {
-        "reports": [r.__dict__ for r in reports],
-        "checks": checks,
-    }
+                "mc_stderr"],
+               [(label, K, s, exact, asym, *mc[K])
+                for K, s, exact, asym in cells])
+    # the cell at the largest scale, within each K's block of len(scales)
+    largest = spec.scales.index(max(spec.scales))
+    checks = {
+        f"laplace_ratio_K{K}": abs(exact / asym - 1.0)
+        < tol["laplace_ratio"] * 5
+        for K, _, exact, asym in cells[largest::len(spec.scales)]
+        if asym != 0}
+    return {"reports": reports, "checks": checks}
 
 
 def _task_oracle(spec: ExperimentSpec, out: Path) -> dict:
@@ -410,20 +408,14 @@ def _task_graphcheck(spec: ExperimentSpec, out: Path) -> dict:
 def _task_laplace(spec: ExperimentSpec, out: Path) -> dict:
     tol = spec.tolerances
     beta = spec.ensemble.get("beta")
-    if beta is None:
-        raise ConfigError("laplace task requires ensemble.beta")
-    rows = []
-    checks = {}
-    for K in spec.K_list:
-        ratios = []
-        for s in spec.scales:
-            exact, asym = _exact_and_laplace(beta, K, s)
-            ratio = exact / asym if asym != 0 else float("nan")
-            ratios.append(ratio)
-            rows.append((beta, K, float(s), exact, asym, ratio))
-        if not math.isnan(ratios[-1]):
-            checks[f"ratio_converges_K{K}"] = (
-                abs(ratios[-1] - 1.0) < tol["laplace_ratio"])
+    rows = [(beta, K, s, exact, asym,
+             exact / asym if asym != 0 else float("nan"))
+            for K, s, exact, asym in _laplace_rows(spec)]
+    # the last listed scale of each K
+    checks = {f"ratio_converges_K{K}": abs(ratio - 1.0) < tol["laplace_ratio"]
+              for _, K, _, _, _, ratio
+              in rows[len(spec.scales) - 1::len(spec.scales)]
+              if not math.isnan(ratio)}
     _write_csv(out / "laplace.csv",
                ["beta", "K", "scale", "exact", "asymptotic", "ratio"], rows)
     return {"rows": rows, "checks": checks}

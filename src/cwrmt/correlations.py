@@ -18,23 +18,11 @@ from .ensembles import EnsembleConfig, _cw_measure, _latent, seed_stream
 from .errors import DomainError, UnsupportedEnsembleError
 
 __all__ = [
-    "CorrelationReport",
     "UncorrelatedFit",
     "mc_correlation",
     "mc_trace_moment",
     "check_approx_uncorrelated",
 ]
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    K: int
-    exact: float
-    asymptotic: float
-    mc_estimate: float
-    mc_stderr: float
-    scale: float
-    beta_or_label: str
 
 
 def mc_correlation(cfg: EnsembleConfig, positions,

@@ -21,10 +21,6 @@ __all__ = [
     "EnsembleConfig",
     "SpinMatrix",
     "ScaledMatrix",
-    "sample_full_cw",
-    "sample_diagonal_cw",
-    "sample_generalized",
-    "sample_iid",
     "sample_matrix",
     "scale",
     "mixing_measure",
@@ -189,33 +185,6 @@ def sample_matrix(cfg: EnsembleConfig) -> SpinMatrix:
     else:
         latent = None if cfg.kind == "iid" else float(ts[0, 0])
     return SpinMatrix(N=cfg.N, entries=X, latent_t=latent)
-
-
-def _sample_kind(cfg: EnsembleConfig, kind: str) -> SpinMatrix:
-    if cfg.kind != kind:
-        raise ConfigError(f"config kind is {cfg.kind!r}, expected {kind!r}")
-    return sample_matrix(cfg)
-
-
-def sample_full_cw(cfg: EnsembleConfig) -> SpinMatrix:
-    """Full Curie-Weiss ensemble: one latent t at mixing scale N^2."""
-    return _sample_kind(cfg, "full_cw")
-
-
-def sample_diagonal_cw(cfg: EnsembleConfig) -> SpinMatrix:
-    """Diagonal Curie-Weiss ensemble: independent latent t_k per diagonal
-    k = 0..N-1, each at mixing scale N."""
-    return _sample_kind(cfg, "diagonal_cw")
-
-
-def sample_generalized(cfg: EnsembleConfig) -> SpinMatrix:
-    """Generalized ensemble: latent t from e^{-N^alpha F(t)/2}/(1-t^2)."""
-    return _sample_kind(cfg, "generalized")
-
-
-def sample_iid(cfg: EnsembleConfig) -> SpinMatrix:
-    """iid fair +-1 baseline (symmetric)."""
-    return _sample_kind(cfg, "iid")
 
 
 def sample_full_cw_batch(cfg: EnsembleConfig, replicas: int,

@@ -83,7 +83,7 @@ def _check_identities(lam: np.ndarray, vals: np.ndarray):
     tr = float(np.trace(vals))
     if abs(lam.sum() - tr) > _REL_TOL * n * scale_:
         raise NumericError("trace identity violated beyond tolerance")
-    fro2 = float(np.sum(vals * vals))
+    fro2 = float(np.vdot(vals, vals))
     if abs(np.sum(lam * lam) - fro2) > _REL_TOL * max(fro2, 1e-300):
         raise NumericError("Frobenius identity violated beyond tolerance")
 

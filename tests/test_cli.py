@@ -128,6 +128,20 @@ def test_correlations_task(tmp_path):
     assert report["result"]["reports"]
 
 
+def test_ratio_checks_read_their_own_cell(tmp_path):
+    # beta=0.5, K=2: |exact/asymptotic - 1| is 3e-6 at scale 1e6 and 3e-4
+    # at 1e4, and 2e-5 (5x: 1e-4) lies between them, so reading the wrong
+    # cell flips each check: correlations reads max(scales), laplace the
+    # last listed scale
+    common = {"ensemble": {"kind": "full_cw", "N": 50, "beta": 0.5},
+              "replicas": 100, "K_list": [2], "scales": [1e3, 1e6, 1e4],
+              "tolerances": {"laplace_ratio": 2e-5}}
+    corr = run(_spec(tmp_path / "c", task="correlations", **common))
+    assert corr["result"]["checks"] == {"laplace_ratio_K2": True}
+    lap = run(_spec(tmp_path / "l", task="laplace", **common))
+    assert lap["result"]["checks"] == {"ratio_converges_K2": False}
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -301,6 +315,7 @@ def test_main_oracle_exact_cell_passes(tmp_path, capsys, ensemble):
     ("moments", "replicas", 1, "replicas must be >= 2, got 1"),
     ("oracle", "replicas", 1, "replicas must be >= 2, got 1"),
     ("esd", "seed", -1, "seed must be >= 0, got -1"),
+    ("esd", "replicas", 10**400, "replicas must be <= 10000000"),
     ("oracle", "gamma", "x", "gamma must be a number, got 'x'"),
 ])
 def test_main_bad_scalar_field(tmp_path, capsys, task, field, value, named):

@@ -11,10 +11,6 @@ from cwrmt import (
     EnsembleConfig,
     PointMass,
     mixing_measure,
-    sample_diagonal_cw,
-    sample_full_cw,
-    sample_generalized,
-    sample_iid,
     sample_matrix,
     scale,
     seed_stream,
@@ -53,7 +49,7 @@ def test_symmetry_and_spin_support(kind, N):
 
 
 def test_entries_read_only():
-    X = sample_iid(_cfg("iid", 4))
+    X = sample_matrix(_cfg("iid", 4))
     with pytest.raises(ValueError):
         X.entries[0, 0] = -X.entries[0, 0]
 
@@ -65,22 +61,6 @@ def test_determinism(kind):
     assert np.array_equal(a.entries, b.entries)
     c = sample_matrix(_cfg(kind, 12, seed=42, replica_index=1))
     assert not np.array_equal(a.entries, c.entries)
-
-
-def test_dispatch_matches_direct_samplers():
-    for kind, fn in [("full_cw", sample_full_cw),
-                     ("diagonal_cw", sample_diagonal_cw),
-                     ("generalized", sample_generalized),
-                     ("iid", sample_iid)]:
-        cfg = _cfg(kind, 6, seed=5)
-        assert np.array_equal(sample_matrix(cfg).entries, fn(cfg).entries)
-
-
-def test_wrong_kind_rejected_by_samplers():
-    with pytest.raises(ConfigError):
-        sample_full_cw(_cfg("iid", 4))
-    with pytest.raises(ConfigError):
-        sample_diagonal_cw(_cfg("full_cw", 4))
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +142,7 @@ def test_small_beta_approaches_iid():
 
 def test_entry_mean_tracks_latent_t():
     cfg = _cfg("full_cw", 500, seed=11)
-    X = sample_full_cw(cfg)
+    X = sample_matrix(cfg)
     iu = np.triu_indices(cfg.N)
     M = len(iu[0])
     emp = float(np.mean(X.entries[iu]))
@@ -171,7 +151,7 @@ def test_entry_mean_tracks_latent_t():
 
 def test_conditional_iid_halves_agree():
     cfg = _cfg("full_cw", 500, seed=13)
-    X = sample_full_cw(cfg)
+    X = sample_matrix(cfg)
     iu = np.triu_indices(cfg.N)
     vals = X.entries[iu].astype(float)
     half = len(vals) // 2
@@ -181,7 +161,7 @@ def test_conditional_iid_halves_agree():
 
 def test_supercritical_plus_fraction_matches_latent():
     cfg = _cfg("full_cw", 100, beta=2.0, seed=17)
-    X = sample_full_cw(cfg)
+    X = sample_matrix(cfg)
     iu = np.triu_indices(cfg.N)
     frac = float(np.mean(X.entries[iu] == 1))
     assert abs(frac - 0.5 * (1.0 + X.latent_t)) < 0.02
@@ -210,13 +190,13 @@ def test_exchangeability_of_entry_positions():
 
 def test_diagonal_latent_field_per_diagonal():
     cfg = _cfg("diagonal_cw", 20, seed=23)
-    X = sample_diagonal_cw(cfg)
+    X = sample_matrix(cfg)
     assert len(X.latent_t) == 20
     assert np.all((-1.0 < X.latent_t) & (X.latent_t < 1.0))
 
 
 def test_diagonal_single_site():
-    X = sample_diagonal_cw(_cfg("diagonal_cw", 1, seed=29))
+    X = sample_matrix(_cfg("diagonal_cw", 1, seed=29))
     assert X.entries.shape == (1, 1)
     assert X.entries[0, 0] in (-1, 1)
 
@@ -227,7 +207,7 @@ def test_diagonal_cross_diagonal_decorrelation():
     R = 1000
     prods = np.empty(R)
     for r in range(R):
-        X = sample_diagonal_cw(_cfg("diagonal_cw", 10, seed=31,
+        X = sample_matrix(_cfg("diagonal_cw", 10, seed=31,
                                     replica_index=r))
         prods[r] = X.entries[0, 1] * X.entries[0, 2]
     assert abs(prods.mean()) < 0.1
@@ -240,8 +220,8 @@ def test_diagonal_cross_diagonal_decorrelation():
 def test_generalized_alpha_two_matches_full():
     # scale N^2 with the same potential reproduces the full ensemble draw
     # under the same seed path
-    full = sample_full_cw(_cfg("full_cw", 24, seed=41))
-    gen = sample_generalized(_cfg("generalized", 24, alpha=2.0, seed=41))
+    full = sample_matrix(_cfg("full_cw", 24, seed=41))
+    gen = sample_matrix(_cfg("generalized", 24, alpha=2.0, seed=41))
     assert np.array_equal(full.entries, gen.entries)
     assert full.latent_t == gen.latent_t
 
@@ -257,7 +237,7 @@ def test_generalized_smaller_alpha_wider_latent():
 # ---------------------------------------------------------------------------
 
 def test_scale_views():
-    X = sample_iid(_cfg("iid", 4, seed=43))
+    X = sample_matrix(_cfg("iid", 4, seed=43))
     assert np.array_equal(scale(X, 0.0).values, X.entries.astype(float))
     assert np.all(np.abs(scale(X, 0.5).values) == 0.5)
     assert np.all(np.abs(scale(X, 1.0).values) == 0.25)
@@ -305,7 +285,7 @@ def test_diagonal_spins_follow_their_diagonal_t(seed):
     # at beta=5 every |t_k| exceeds 0.999, so the mean of a long diagonal
     # has the sign of its own t_k; a gather with the wrong offset mixes
     # diagonals of independent signs
-    X = sample_diagonal_cw(_cfg("diagonal_cw", 300, beta=5.0, seed=seed))
+    X = sample_matrix(_cfg("diagonal_cw", 300, beta=5.0, seed=seed))
     for k in range(300 - 50 + 1):
         mean = np.diagonal(X.entries, offset=k).mean()
         assert np.sign(mean) == np.sign(X.latent_t[k]), k

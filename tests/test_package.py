@@ -4,6 +4,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,3 +48,16 @@ def test_all_entries_resolve():
                   for name in getattr(module, "__all__", ())
                   if not hasattr(module, name)]
     assert stale == []
+
+
+def test_readme_python_blocks_run():
+    # the README's examples use the public names, so one removed from the
+    # package fails here instead of leaving the docs broken
+    blocks = re.findall(r"```python\n(.*?)```",
+                        (ROOT / "README.md").read_text(), re.S)
+    assert blocks
+    for code in blocks:
+        res = subprocess.run(
+            [sys.executable, "-c", code], cwd=ROOT, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert res.returncode == 0, res.stderr

@@ -12,8 +12,7 @@ from cwrmt import (
     EnsembleConfig,
     catalan,
     eigenvalues,
-    sample_full_cw,
-    sample_iid,
+    sample_matrix,
     scale,
     semicircle_cdf,
     semicircle_moment,
@@ -130,7 +129,7 @@ def test_all_ones_projection():
 
 def test_eigen_residuals():
     cfg = EnsembleConfig(kind="full_cw", N=64, beta=0.5, seed=61)
-    A = scale(sample_full_cw(cfg), 0.5)
+    A = scale(sample_matrix(cfg), 0.5)
     lam = eigenvalues(A)
     w, V = np.linalg.eigh(A.values)
     assert lam == pytest.approx(w, abs=1e-12)
@@ -158,7 +157,7 @@ def test_ks_single_atom():
 
 def test_ks_iid_baseline():
     cfg = EnsembleConfig(kind="iid", N=1000, seed=67)
-    s = summarize(scale(sample_iid(cfg), 0.5))
+    s = summarize(scale(sample_matrix(cfg), 0.5))
     assert s.ks_to_semicircle < 0.05
 
 
@@ -168,7 +167,7 @@ def test_ks_iid_baseline():
 
 def test_summary_fields_and_norm_consistency():
     cfg = EnsembleConfig(kind="iid", N=200, seed=71)
-    s = summarize(scale(sample_iid(cfg), 0.5), k_max=6)
+    s = summarize(scale(sample_matrix(cfg), 0.5), k_max=6)
     assert np.all(np.diff(s.eigenvalues) >= 0)
     assert len(s.moments) == 6
 
@@ -184,7 +183,7 @@ def test_second_esd_moment_is_deterministic():
 
 def test_first_esd_moment_small_iid():
     cfg = EnsembleConfig(kind="iid", N=1000, seed=79)
-    s = summarize(scale(sample_iid(cfg), 0.5))
+    s = summarize(scale(sample_matrix(cfg), 0.5))
     assert abs(s.moments[0]) < 0.1
 
 
@@ -193,7 +192,7 @@ def test_odd_esd_moments_center_on_zero():
     for r in range(10):
         cfg = EnsembleConfig(kind="full_cw", N=300, beta=0.5, seed=83,
                              replica_index=r)
-        vals.append(summarize(scale(sample_full_cw(cfg), 0.5)).moments[2])
+        vals.append(summarize(scale(sample_matrix(cfg), 0.5)).moments[2])
     vals = np.array(vals)
     stderr = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean()) < 3 * stderr + 1e-6
