@@ -16,8 +16,7 @@ from .circuits import (
     verify_simple_edge_bound,
 )
 from .correlations import (
-    UncorrelatedFit,
-    check_approx_uncorrelated,
+    approx_uncorrelated,
     mc_correlation,
     mc_trace_moment,
 )

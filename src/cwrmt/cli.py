@@ -76,11 +76,13 @@ def _field_rules(task: str) -> tuple:
     neither.  [type] is a non-empty list of such values (an empty N_grid
     means the ensemble's N) and [type, type] a pair.  Moments' variance and
     the oracle's stderr need two replicas; the esd and moments checks read
-    the second moment."""
+    the second moment.  61 caps their k_max: it is the highest order whose
+    semicircle moment spectral.catalan's k <= 30 guard allows."""
     inf = math.inf
+    spectral_task = task in ("esd", "moments")
     return (
         ("replicas", int, 2 if task in ("moments", "oracle") else 1, 10**7),
-        ("k_max", int, 2 if task in ("esd", "moments") else 1, inf),
+        ("k_max", int, 2 if spectral_task else 1, 61 if spectral_task else inf),
         ("seed", int, 0, inf),
         ("gamma", float, -inf, inf),
         ("K_list", [int], 1, inf),
@@ -89,7 +91,6 @@ def _field_rules(task: str) -> tuple:
         ("ensemble.N", int, 1, N_MAX),
         ("ensemble.beta", float, 0.0, inf),
         ("ensemble.alpha", float, 0.0, inf),
-        ("ensemble.seed", int, 0, inf),
         *((f"tolerances.{key}", [float, float] if key == "m4_range"
            else float, -inf, inf) for key in _DEFAULT_TOLERANCES),
     )
@@ -145,9 +146,12 @@ class ExperimentSpec:
         if spec.task != "graphcheck" and not isinstance(spec.ensemble, dict):
             raise ConfigError("'ensemble' must be a mapping")
         ens = spec.ensemble if isinstance(spec.ensemble, dict) else {}
-        if "potential" in ens:
-            raise ConfigError("ensemble.potential cannot be set in a config; "
-                              "give beta for the Curie-Weiss potential")
+        for key, fix in (("potential", "give beta for the Curie-Weiss "
+                                       "potential"),
+                         ("seed", "set the top-level seed")):
+            if key in ens:
+                raise ConfigError(
+                    f"ensemble.{key} cannot be set in a config; {fix}")
         if not isinstance(spec.tolerances, dict):
             raise ConfigError("'tolerances' must be a mapping")
         unknown = set(spec.tolerances) - set(_DEFAULT_TOLERANCES)
@@ -174,9 +178,8 @@ class ExperimentSpec:
         e = dict(self.ensemble)
         if N is not None:
             e["N"] = N
-        e.setdefault("seed", self.seed)
         try:
-            return EnsembleConfig(replica_index=replica, **e)
+            return EnsembleConfig(seed=self.seed, replica_index=replica, **e)
         except TypeError as exc:
             raise ConfigError(f"bad ensemble config: {exc}") from None
 
@@ -286,7 +289,7 @@ def _task_moments(spec: ExperimentSpec, out: Path) -> dict:
 
 def _task_norm(spec: ExperimentSpec, out: Path) -> dict:
     tol = spec.tolerances
-    grid = spec.N_grid or [spec.ensemble.get("N", 256)]
+    grid = list(dict.fromkeys(spec.N_grid or [spec.ensemble.get("N", 256)]))
     beta = spec.ensemble.get("beta")
     rows = []
     per_N = {}
@@ -367,7 +370,9 @@ def _task_correlations(spec: ExperimentSpec, out: Path) -> dict:
         < tol["laplace_ratio"] * 5
         for K, _, exact, asym in cells[largest::len(spec.scales)]
         if asym != 0}
-    return {"reports": reports, "checks": checks}
+    return {"reports": reports,
+            "approx_uncorrelated": correlations.approx_uncorrelated(mc_cfg),
+            "checks": checks}
 
 
 def _task_oracle(spec: ExperimentSpec, out: Path) -> dict:

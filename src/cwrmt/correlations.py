@@ -1,27 +1,26 @@
-"""Exact, asymptotic, and Monte Carlo correlation functions, plus the
-approximately-uncorrelated criterion checker.
+"""Monte Carlo correlation functions and trace moments, and the exact
+approximately-uncorrelated criterion.
 
-For spin ensembles all squared entries are 1, so the criterion reduces to
-boundedness of N^{l/2} |integral t^l dmu_N| across an N-grid.
+For spin ensembles all squared entries are 1, so the criterion
+|E(X_p1 ... X_pl)| <= C_l N^{-l/2} at distinct positions is a decay condition
+on the moments of the mixing measure, decided by its minimum and scale.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import ensembles
-from .ensembles import EnsembleConfig, _cw_measure, _latent, seed_stream
+from .definetti import find_minimum
+from .ensembles import EnsembleConfig, _latent, _law, _t_measure, seed_stream
 from .errors import DomainError, UnsupportedEnsembleError
 
 __all__ = [
-    "UncorrelatedFit",
+    "approx_uncorrelated",
     "mc_correlation",
     "mc_trace_moment",
-    "check_approx_uncorrelated",
 ]
 
 
@@ -40,8 +39,7 @@ def mc_correlation(cfg: EnsembleConfig, positions,
     rng = seed_stream(cfg.seed, cfg.replica_index, "mc")
     if cfg.kind == "diagonal_cw":
         diags = sorted({j - i for (i, j) in sym})
-        ts = _cw_measure(cfg.beta, float(cfg.N)).sample_t(
-            rng, size=(len(diags), replicas)).T
+        ts = _t_measure(cfg).sample_t(rng, size=(len(diags), replicas)).T
         ts = ts[:, [diags.index(j - i) for (i, j) in sym]]
     else:
         ts = _latent(cfg, rng, replicas)
@@ -76,44 +74,16 @@ def mc_trace_moment(cfg: EnsembleConfig, k: int, gamma: float,
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicas))
 
 
-@dataclass(frozen=True)
-class UncorrelatedFit:
-    ell: int
-    observed: dict  # N -> |E(prod X)| = |moment(mu_N, ell)|
-    normalized: dict  # N -> N^{ell/2} * observed
-    fitted_constant: float
-    bounded: bool
+def approx_uncorrelated(cfg: EnsembleConfig) -> bool:
+    """Whether cfg's entries are approximately uncorrelated, i.e. whether
+    |E(X_p1 ... X_pl)| <= C_l N^{-l/2} at distinct positions for every l.
 
-
-def check_approx_uncorrelated(measures: Mapping[int, object], ell: int,
-                              N_grid: Sequence[int]) -> UncorrelatedFit:
-    """Evaluate the decay criterion |E(X_1 ... X_ell)| <= C / N^{ell/2} on a
-    grid of sizes.
-
-    "Bounded" is a finite-grid proxy: either the normalized sequence has no
-    strictly increasing run over the top three grid points with its maximum
-    before the final point, or its growth is below 5% per decade of N.
+    By Laplace's method the l-th moment of a measure at scale N^s tends to
+    a^l if its minimum a > 0 and decays as N^{-ls/nu} if a = 0, so the bound
+    holds iff a = 0 and s >= nu/2.  The iid kind is trivially uncorrelated.
     """
-    if ell < 1:
-        raise DomainError(f"ell must be >= 1, got {ell}")
-    grid = sorted(N_grid)
-    observed = {N: abs(measures[N].moment(ell)) for N in grid}
-    normalized = {N: N ** (ell / 2.0) * observed[N] for N in grid}
-    vals = np.array([normalized[N] for N in grid])
-    fitted = float(vals.max())
-    if len(grid) >= 3:
-        tail_increasing = vals[-3] < vals[-2] < vals[-1]
-        max_before_end = int(np.argmax(vals)) < len(vals) - 1
-        cond1 = (not tail_increasing) and max_before_end
-    else:
-        cond1 = False
-    with np.errstate(divide="ignore"):
-        decades = math.log10(grid[-1]) - math.log10(grid[0])
-        if decades > 0 and vals[0] > 0 and vals[-1] > 0:
-            growth_per_decade = (vals[-1] / vals[0]) ** (1.0 / decades) - 1.0
-        else:
-            growth_per_decade = 0.0
-    cond2 = growth_per_decade < 0.05
-    return UncorrelatedFit(
-        ell=ell, observed=observed, normalized=normalized,
-        fitted_constant=fitted, bounded=bool(cond1 or cond2))
+    if cfg.kind == "iid":
+        return True
+    potential, s = _law(cfg)
+    m = find_minimum(potential)
+    return m.a == 0.0 and s >= m.nu / 2

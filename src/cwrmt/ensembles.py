@@ -126,19 +126,29 @@ def _cw_measure(beta: float, scale_: float) -> DeFinettiMeasure:
     return _measure(_cw_potential(beta), scale_)
 
 
+def _law(cfg: EnsembleConfig) -> tuple[Potential, float]:
+    """(F, s) of the law e^{-N^s F/2}/(1-t^2) of cfg's latent t (not iid)."""
+    if cfg.kind == "generalized":
+        return cfg.potential or _cw_potential(cfg.beta), cfg.alpha
+    return _cw_potential(cfg.beta), 2 if cfg.kind == "full_cw" else 1
+
+
+def _t_measure(cfg: EnsembleConfig):
+    """The law of one latent t of cfg (of each t_k for diagonal_cw)."""
+    if cfg.kind == "iid":
+        return PointMass(0.0)
+    potential, s = _law(cfg)
+    return _measure(potential, float(cfg.N) ** s)
+
+
 def mixing_measure(cfg: EnsembleConfig):
     """The de Finetti mixing measure of the shared latent t for ensembles
     with a single t (full, generalized, iid).  Raises for diagonal_cw, whose
     latent field is one t per diagonal."""
-    if cfg.kind == "full_cw":
-        return _cw_measure(cfg.beta, float(cfg.N) ** 2)
-    if cfg.kind == "generalized":
-        pot = cfg.potential or _cw_potential(cfg.beta)
-        return _measure(pot, float(cfg.N) ** cfg.alpha)
-    if cfg.kind == "iid":
-        return PointMass(0.0)
-    raise UnsupportedEnsembleError(
-        "diagonal_cw has no single shared mixing measure")
+    if cfg.kind == "diagonal_cw":
+        raise UnsupportedEnsembleError(
+            "diagonal_cw has no single shared mixing measure")
+    return _t_measure(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +158,9 @@ def mixing_measure(cfg: EnsembleConfig):
 def _latent(cfg: EnsembleConfig, rng: np.random.Generator,
             size: int) -> np.ndarray:
     """Latent means of `size` draws: shape (size, 1) for the kinds with one
-    shared t, (size, N) for diagonal_cw (t_k of diagonal k, mixing scale N)."""
-    if cfg.kind == "diagonal_cw":
-        return _cw_measure(cfg.beta, float(cfg.N)).sample_t(
-            rng, size=(size, cfg.N))
-    return mixing_measure(cfg).sample_t(rng, size=(size, 1))
+    shared t, (size, N) for diagonal_cw (t_k of diagonal k)."""
+    width = cfg.N if cfg.kind == "diagonal_cw" else 1
+    return _t_measure(cfg).sample_t(rng, size=(size, width))
 
 
 def _spin_fill(N: int, ts: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -93,6 +93,19 @@ def test_norm_task_supercritical(tmp_path):
     assert (tmp_path / "norms.csv").exists()
 
 
+def test_main_norm_duplicate_grid_entry_runs_once(tmp_path):
+    # a repeated N is one grid point: b_norm_decreasing would otherwise
+    # compare N with itself
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps({
+        "task": "norm", "ensemble": {"kind": "full_cw", "beta": 0.5},
+        "N_grid": [64, 128, 128], "replicas": 2,
+        "output_dir": str(tmp_path)}))
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+    rows = (tmp_path / "norms.csv").read_text().strip().split("\n")
+    assert len(rows) == 1 + 4
+
+
 def test_oracle_task(tmp_path):
     spec = _spec(tmp_path, task="oracle",
                  ensemble={"kind": "full_cw", "N": 4, "beta": 0.5},
@@ -126,6 +139,7 @@ def test_correlations_task(tmp_path):
     report = run(spec)
     assert (tmp_path / "correlations.csv").exists()
     assert report["result"]["reports"]
+    assert report["result"]["approx_uncorrelated"] is True
 
 
 def test_ratio_checks_read_their_own_cell(tmp_path):
@@ -316,6 +330,8 @@ def test_main_oracle_exact_cell_passes(tmp_path, capsys, ensemble):
     ("oracle", "replicas", 1, "replicas must be >= 2, got 1"),
     ("esd", "seed", -1, "seed must be >= 0, got -1"),
     ("esd", "replicas", 10**400, "replicas must be <= 10000000"),
+    ("moments", "k_max", 62, "k_max must be <= 61, got 62"),
+    ("esd", "k_max", 62, "k_max must be <= 61, got 62"),
     ("oracle", "gamma", "x", "gamma must be a number, got 'x'"),
 ])
 def test_main_bad_scalar_field(tmp_path, capsys, task, field, value, named):
@@ -340,7 +356,7 @@ def test_main_bad_scalar_field(tmp_path, capsys, task, field, value, named):
      "ensemble.beta must be a number, got 'x'"),
     ("laplace", "ensemble.beta", True,
      "ensemble.beta must be a number, got True"),
-    ("esd", "ensemble.seed", -1, "ensemble.seed must be >= 0, got -1"),
+    ("esd", "ensemble.seed", 5, "ensemble.seed cannot be set"),
     ("esd", "ensemble.N", 4.5, "ensemble.N must be an integer, got 4.5"),
     ("esd", "ensemble.potential", "x", "ensemble.potential cannot be set"),
     ("esd", "tolerances.ks_meen", 0.5, "unknown tolerances: ['ks_meen']"),

@@ -1,5 +1,5 @@
-"""Exact vs asymptotic vs Monte Carlo correlations, and the decay criterion
-for approximately uncorrelated entry schemes."""
+"""Exact vs asymptotic vs Monte Carlo correlations, and the exact decision
+of the approximately-uncorrelated criterion."""
 
 import math
 
@@ -9,8 +9,9 @@ import pytest
 from cwrmt import (
     DeFinettiMeasure,
     EnsembleConfig,
-    check_approx_uncorrelated,
+    approx_uncorrelated,
     curie_weiss_potential,
+    find_minimum,
     magnetization,
     mc_correlation,
     mc_trace_moment,
@@ -102,39 +103,44 @@ def test_mc_trace_moment_rejects_diagonal():
 # approximately-uncorrelated criterion
 # ---------------------------------------------------------------------------
 
-def test_criterion_full_scale_normalized_to_zero():
-    # scale N^2: N * moment(2) ~ (beta/(1-beta))/N -> 0, trivially bounded
-    grid = [100, 400, 1600]
-    measures = {N: _cw_measure(0.5, float(N) ** 2) for N in grid}
-    fit = check_approx_uncorrelated(measures, 2, grid)
-    assert fit.bounded
-    vals = [fit.normalized[N] for N in grid]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
+@pytest.mark.parametrize("kind,beta,alpha,holds", [
+    ("full_cw", 0.5, None, True),
+    ("full_cw", 1.0, None, True),
+    ("full_cw", 1.1, None, False),
+    ("diagonal_cw", 0.5, None, True),
+    ("diagonal_cw", 0.9, None, True),
+    ("diagonal_cw", 1.0, None, False),
+    ("generalized", 1.0, 2.0, True),
+    ("generalized", 1.0, 1.5, False),
+    ("iid", None, None, True),
+])
+def test_approx_uncorrelated(kind, beta, alpha, holds):
+    # holds iff the minimum is at 0 and the scale exponent s >= nu/2: full_cw
+    # (s = 2) up to beta = 1, diagonal_cw (s = 1) below it, generalized at
+    # beta = 1 (nu = 4) from alpha = 2
+    cfg = EnsembleConfig(kind=kind, N=64, beta=beta, alpha=alpha)
+    assert approx_uncorrelated(cfg) is holds
 
 
-def test_criterion_borderline_scale_bounded():
-    # scale N: N * moment(2) -> beta/(1-beta) = 1, bounded with C ~ 1
-    grid = [1000, 10_000, 100_000]
-    measures = {N: _cw_measure(0.5, float(N)) for N in grid}
-    fit = check_approx_uncorrelated(measures, 2, grid)
-    assert fit.bounded
-    assert fit.fitted_constant == pytest.approx(1.0, rel=0.05)
-
-
-def test_criterion_critical_scale_unbounded():
-    # beta=1 at scale N: moment(2) ~ c N^{-1/2}, so N * moment(2) grows
-    grid = [1000, 10_000, 100_000, 1_000_000]
-    measures = {N: _cw_measure(1.0, float(N)) for N in grid}
-    fit = check_approx_uncorrelated(measures, 2, grid)
-    assert not fit.bounded
-    logs = np.log([fit.normalized[N] for N in grid])
-    slope = np.polyfit(np.log(grid), logs, 1)[0]
-    assert slope == pytest.approx(0.5, abs=0.05)
-
-
-def test_criterion_rejects_bad_ell():
-    with pytest.raises(DomainError):
-        check_approx_uncorrelated({}, 0, [])
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.5])
+def test_normalized_moment_slope_matches_minimum(beta, s):
+    # Laplace's method: N^{l/2} m_l at scale S = N^s grows like N^{l/2} when
+    # the minimum a > 0 and like N^{l(1/2 - s/nu)} when a = 0; it stays
+    # bounded exactly when approx_uncorrelated holds for the kind of scale N^s
+    kind = {1: "diagonal_cw", 2: "full_cw"}[s]
+    holds = approx_uncorrelated(EnsembleConfig(kind=kind, N=64, beta=beta))
+    pot = curie_weiss_potential(beta)
+    m = find_minimum(pot)
+    grid = [1e5, 1e6]
+    measures = [DeFinettiMeasure(pot, N ** s) for N in grid]
+    for ell in (2, 4):
+        predicted = ell / 2 if m.a > 0 else ell * (0.5 - s / m.nu)
+        logs = [math.log(N ** (ell / 2) * mu.moment(ell))
+                for N, mu in zip(grid, measures)]
+        slope = (logs[1] - logs[0]) / math.log(grid[1] / grid[0])
+        assert slope == pytest.approx(predicted, abs=0.05)
+        assert (predicted <= 0) is holds
 
 
 # ---------------------------------------------------------------------------

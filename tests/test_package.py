@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import re
@@ -10,6 +11,7 @@ import sys
 from pathlib import Path
 
 import cwrmt
+from cwrmt.cli import ExperimentSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -61,3 +63,12 @@ def test_readme_python_blocks_run():
             [sys.executable, "-c", code], cwd=ROOT, capture_output=True,
             text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
         assert res.returncode == 0, res.stderr
+
+
+def test_readme_configs_parse():
+    # a documented config key the CLI no longer accepts fails here
+    blocks = re.findall(r"```json\n(.*?)```",
+                        (ROOT / "README.md").read_text(), re.S)
+    assert blocks
+    for text in blocks:
+        ExperimentSpec.from_dict(json.loads(text))
