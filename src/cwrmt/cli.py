@@ -2,9 +2,9 @@
 
 `cwrmt run --config spec.json [overrides]` dispatches one of the tasks
 {esd, moments, norm, correlations, oracle, graphcheck, laplace}, runs the
-replicas in a thread pool (capped by CWRMT_THREADS), and writes summary.json
-plus task-specific CSVs.  Exit status is nonzero iff validation or a
-configured tolerance fails.
+replicas in a thread pool (one worker per core, fewer with CWRMT_THREADS),
+and writes summary.json plus task-specific CSVs.  Exit status is nonzero iff
+validation or a configured tolerance fails.
 """
 
 from __future__ import annotations
@@ -185,9 +185,10 @@ class ExperimentSpec:
 
 
 def _pool_size(replicas: int) -> int:
+    cores = os.cpu_count() or 1
     cap = os.environ.get("CWRMT_THREADS")
     if not cap:
-        return min(os.cpu_count() or 1, replicas)
+        return min(cores, replicas)
     try:
         workers = int(cap)
     except ValueError:
@@ -195,7 +196,7 @@ def _pool_size(replicas: int) -> int:
     if workers < 1:
         raise ConfigError(
             f"CWRMT_THREADS must be an integer >= 1, got {cap!r}")
-    return min(workers, replicas)
+    return min(workers, cores, replicas)
 
 
 def _parallel_map(fn, args_list):
@@ -416,10 +417,10 @@ def _task_laplace(spec: ExperimentSpec, out: Path) -> dict:
     rows = [(beta, K, s, exact, asym,
              exact / asym if asym != 0 else float("nan"))
             for K, s, exact, asym in _laplace_rows(spec)]
-    # the last listed scale of each K
+    # the cell at the largest scale, within each K's block of len(scales)
+    largest = spec.scales.index(max(spec.scales))
     checks = {f"ratio_converges_K{K}": abs(ratio - 1.0) < tol["laplace_ratio"]
-              for _, K, _, _, _, ratio
-              in rows[len(spec.scales) - 1::len(spec.scales)]
+              for _, K, _, _, _, ratio in rows[largest::len(spec.scales)]
               if not math.isnan(ratio)}
     _write_csv(out / "laplace.csv",
                ["beta", "K", "scale", "exact", "asymptotic", "ratio"], rows)

@@ -67,7 +67,7 @@ def mc_trace_moment(cfg: EnsembleConfig, k: int, gamma: float,
     while done < replicas:
         n = min(batch, replicas - done)
         # looked up at call time, so a wrapped module attribute is used
-        _, X = ensembles.sample_full_cw_batch(cfg, n, rng)
+        X = ensembles.sample_full_cw_batch(cfg, n, rng)
         lam = np.linalg.eigvalsh(X.astype(float) / cfg.N**gamma)
         vals[done:done + n] = (lam**k).mean(axis=1)
         done += n

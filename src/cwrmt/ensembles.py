@@ -164,20 +164,16 @@ def _latent(cfg: EnsembleConfig, rng: np.random.Generator,
 
 
 def _spin_fill(N: int, ts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Stack of symmetric matrices, one per row of latent means `ts`: the
-    upper triangle (incl. diagonal) is drawn row by row, entry (i, j) with
-    mean ts[:, |i - j|] (one column: the same mean everywhere), and
-    mirrored."""
-    iu = np.triu_indices(N)
+    """Stack of symmetric matrices, one per row of latent means `ts`: row i
+    of the upper triangle (incl. diagonal) is drawn across the stack, entry
+    (i, j) with mean ts[:, j - i] (one column: the same mean everywhere),
+    and mirrored."""
     p = 0.5 * (1.0 + ts)
-    if ts.shape[1] > 1:
-        p = p[:, iu[1] - iu[0]]
-    # temporaries stay unnamed so each is freed as soon as it is consumed
-    spins = np.where(rng.random((len(ts), len(iu[0]))) < p,
-                     1, -1).astype(np.int8)
-    X = np.zeros((len(ts), N, N), dtype=np.int8)
-    X[:, iu[0], iu[1]] = spins
-    X[:, iu[1], iu[0]] = spins
+    X = np.empty((len(ts), N, N), dtype=np.int8)
+    for i in range(N):
+        row = np.where(rng.random((len(ts), N - i)) < p[:, :N - i], 1, -1)
+        X[:, i, i:] = row
+        X[:, i:, i] = row
     return X
 
 
@@ -196,9 +192,7 @@ def sample_matrix(cfg: EnsembleConfig) -> SpinMatrix:
 
 
 def sample_full_cw_batch(cfg: EnsembleConfig, replicas: int,
-                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Batch of draws from one stream for Monte Carlo: latent means (see
-    `_latent`) and X of shape (replicas, N, N).  Intended for small N."""
-    ts = _latent(cfg, rng, replicas)
-    return ts, _spin_fill(cfg.N, ts, rng)
-
+                         rng: np.random.Generator) -> np.ndarray:
+    """X of shape (replicas, N, N): draws for Monte Carlo from one stream,
+    latent means (see `_latent`) first, then spins.  Intended for small N."""
+    return _spin_fill(cfg.N, _latent(cfg, rng, replicas), rng)

@@ -3,6 +3,7 @@ emitted CSVs, and exit codes."""
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cwrmt.cli import (
     EXIT_RESOURCE,
     EXIT_TOLERANCE,
     ExperimentSpec,
+    _pool_size,
     main,
     run,
 )
@@ -142,18 +144,20 @@ def test_correlations_task(tmp_path):
     assert report["result"]["approx_uncorrelated"] is True
 
 
-def test_ratio_checks_read_their_own_cell(tmp_path):
+@pytest.mark.parametrize("scales", [[1e3, 1e6, 1e4], [1e6, 1e4, 1e3]],
+                         ids=["max_in_middle", "max_first"])
+def test_ratio_checks_read_their_own_cell(tmp_path, scales):
     # beta=0.5, K=2: |exact/asymptotic - 1| is 3e-6 at scale 1e6 and 3e-4
-    # at 1e4, and 2e-5 (5x: 1e-4) lies between them, so reading the wrong
-    # cell flips each check: correlations reads max(scales), laplace the
-    # last listed scale
+    # at 1e4, and 2e-5 (5x: 1e-4) lies between them, so reading any cell but
+    # the largest scale's flips each check; both tasks read max(scales),
+    # wherever it is listed
     common = {"ensemble": {"kind": "full_cw", "N": 50, "beta": 0.5},
-              "replicas": 100, "K_list": [2], "scales": [1e3, 1e6, 1e4],
+              "replicas": 100, "K_list": [2], "scales": scales,
               "tolerances": {"laplace_ratio": 2e-5}}
     corr = run(_spec(tmp_path / "c", task="correlations", **common))
     assert corr["result"]["checks"] == {"laplace_ratio_K2": True}
     lap = run(_spec(tmp_path / "l", task="laplace", **common))
-    assert lap["result"]["checks"] == {"ratio_converges_K2": False}
+    assert lap["result"]["checks"] == {"ratio_converges_K2": True}
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +299,15 @@ def test_main_bad_oracle_cell(tmp_path, capsys, cells, named):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert named in err
+
+
+def test_thread_cap_only_lowers_the_pool(monkeypatch):
+    # an oversized cap must not ask for a million OS threads; _pool_size
+    # only computes the size, so no thread is started here
+    monkeypatch.setenv("CWRMT_THREADS", "1000000")
+    assert _pool_size(10**6) == (os.cpu_count() or 1)
+    monkeypatch.setenv("CWRMT_THREADS", "1")
+    assert _pool_size(10**6) == 1
 
 
 @pytest.mark.parametrize("cap", ["abc", "0", "-2", "1.5"])

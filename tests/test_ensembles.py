@@ -3,6 +3,7 @@ deterministic streams, and conditional-iid structure."""
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from cwrmt import (
     scale,
     seed_stream,
 )
-from cwrmt.ensembles import N_MAX
+from cwrmt.ensembles import N_MAX, sample_full_cw_batch
 from cwrmt.errors import ConfigError, DomainError, UnsupportedEnsembleError
 
 
@@ -289,3 +290,30 @@ def test_diagonal_spins_follow_their_diagonal_t(seed):
     for k in range(300 - 50 + 1):
         mean = np.diagonal(X.entries, offset=k).mean()
         assert np.sign(mean) == np.sign(X.latent_t[k]), k
+
+
+def test_batch_stream_pinned():
+    # SHA-256 of the int8 stack of 64 N=5 draws: the latent means first,
+    # then row i of every matrix in the batch before row i + 1
+    X = sample_full_cw_batch(EnsembleConfig("full_cw", N=5, beta=0.7), 64,
+                             seed_stream(1, 0, "mc"))
+    assert X.shape == (64, 5, 5)
+    assert np.array_equal(X, X.transpose(0, 2, 1))
+    assert hashlib.sha256(X.tobytes()).hexdigest() == \
+        "cf6d53f5dc2eedfee4b4223704f5282fd0716736279324e2065a8d5c68d28482"
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_sampler_peak_memory(kind):
+    # one draw allocates the N^2 int8 matrix and one row of temporaries at a
+    # time, not a float64 per upper-triangle entry (about 12.5 N^2 bytes)
+    N = 1024
+    cfg = _cfg(kind, N)
+    sample_matrix(cfg)  # builds and caches the mixing measure
+    tracemalloc.start()
+    try:
+        sample_matrix(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * N**2
