@@ -66,7 +66,7 @@ _DEFAULT_TOLERANCES = {
 }
 
 # relative allowance for rounding in an oracle cell: a k=2 cell has no Monte
-# Carlo variance (tr X^2 = N^2 for every spin matrix), so its stderr is ~1e-17
+# Carlo variance (tr X^2 = N^2 for every spin matrix), so its stderr is 0
 _ORACLE_ROUNDING = 1e-12
 
 
@@ -381,8 +381,8 @@ def _task_oracle(spec: ExperimentSpec, out: Path) -> dict:
     cells = spec.cells or [[4, 2], [4, 4], [5, 4], [6, 6]]
     rows = []
     checks = {}
-    for (N, k) in cells:
-        cfg = spec.ensemble_config(N=N, replica=0)
+    for i, (N, k) in enumerate(cells):
+        cfg = spec.ensemble_config(N=N, replica=i)
         measure = ensembles.mixing_measure(cfg)
         exact = circuits.exact_trace_moment(measure, N, k, spec.gamma)
         mc, se = correlations.mc_trace_moment(

@@ -15,7 +15,7 @@ import numpy as np
 from . import ensembles
 from .definetti import find_minimum
 from .ensembles import EnsembleConfig, _latent, _law, _t_measure, seed_stream
-from .errors import DomainError, UnsupportedEnsembleError
+from .errors import DomainError, ResourceError, UnsupportedEnsembleError
 
 __all__ = [
     "approx_uncorrelated",
@@ -51,27 +51,42 @@ def mc_correlation(cfg: EnsembleConfig, positions,
     return est, stderr
 
 
+def _traces(X: np.ndarray, k: int) -> np.ndarray:
+    """tr X^k per matrix of the int64 stack X: tr(X^(k - k//2) X^(k//2))."""
+    if k == 1:
+        return X.trace(axis1=1, axis2=2)
+    Q = X
+    for _ in range(k // 2 - 1):
+        Q = Q @ X
+    return np.einsum("bij,bji->b", Q @ X if k % 2 else Q, Q)
+
+
 def mc_trace_moment(cfg: EnsembleConfig, k: int, gamma: float,
                     replicas: int) -> tuple[float, float]:
-    """Monte Carlo estimate of E[(1/N) tr (X/N^gamma)^k] by batched sampling
-    and eigensolves; the stochastic counterpart of the exact class-sum."""
+    """Monte Carlo estimate of E[(1/N) tr (X/N^gamma)^k] from exact integer
+    traces of batched samples: int64 holds every partial sum, <= N^k < 2^63."""
     if cfg.kind == "diagonal_cw":
         raise UnsupportedEnsembleError(
             "the trace-moment oracle needs a single shared latent t")
-    if replicas < 2:
-        raise DomainError(f"replicas must be >= 2, got {replicas}")
+    for name, value, least in (("k", k, 1), ("replicas", replicas, 2)):
+        if value < least:
+            raise DomainError(f"{name} must be >= {least}, got {value}")
+    if cfg.N**k >= 2**63:
+        raise ResourceError(f"N={cfg.N}, k={k}: int64 traces need N^k < 2^63")
     rng = seed_stream(cfg.seed, cfg.replica_index, "mc")
-    vals = np.empty(replicas)
-    done = 0
+    traces = np.empty(replicas, dtype=np.int64)
     batch = max(1, min(replicas, int(2e7 // (cfg.N * cfg.N))))
-    while done < replicas:
+    block = max(1, 2**18 // cfg.N**2)  # about 2 MB of int64 per power
+    for done in range(0, replicas, batch):
         n = min(batch, replicas - done)
         # looked up at call time, so a wrapped module attribute is used
         X = ensembles.sample_full_cw_batch(cfg, n, rng)
-        lam = np.linalg.eigvalsh(X.astype(float) / cfg.N**gamma)
-        vals[done:done + n] = (lam**k).mean(axis=1)
-        done += n
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicas))
+        out = traces[done:done + n]
+        for j in range(0, n, block):
+            out[j:j + block] = _traces(X[j:j + block].astype(np.int64), k)
+    norm = float(cfg.N) ** (1 + k * gamma)
+    return (float(traces.mean()) / norm,
+            float(traces.std(ddof=1)) / math.sqrt(replicas) / norm)
 
 
 def approx_uncorrelated(cfg: EnsembleConfig) -> bool:

@@ -118,6 +118,16 @@ def test_oracle_task(tmp_path):
     assert len(rows) == 3
 
 
+def test_oracle_cells_are_independent(tmp_path):
+    # cell i draws from replica i's stream, so equal cells differ
+    spec = _spec(tmp_path, task="oracle",
+                 ensemble={"kind": "full_cw", "N": 4, "beta": 0.5},
+                 replicas=2000, seed=1, cells=[[4, 4], [4, 4]])
+    run(spec)
+    rows = (tmp_path / "oracle.csv").read_text().strip().split("\n")[1:]
+    assert rows[0].split(",")[3] != rows[1].split(",")[3]
+
+
 def test_graphcheck_task(tmp_path):
     spec = _spec(tmp_path, task="graphcheck", ensemble={}, k_max=6)
     report = run(spec)
@@ -324,12 +334,14 @@ def test_main_bad_thread_cap(tmp_path, capsys, monkeypatch, cap):
                                       {"kind": "iid"}])
 def test_main_oracle_exact_cell_passes(tmp_path, capsys, ensemble):
     # every +-1 matrix has tr X^2 = N^2, so a k=2 cell differs from the
-    # exact value by rounding only, with a stderr of ~1e-17
+    # exact value by rounding only, with a stderr of exactly 0
     cfg_path = tmp_path / "spec.json"
     cfg_path.write_text(json.dumps({
         "task": "oracle", "ensemble": ensemble, "cells": [[6, 2]],
         "replicas": 200, "seed": 3, "output_dir": str(tmp_path)}))
     assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+    row = (tmp_path / "oracle.csv").read_text().split("\n")[1].split(",")
+    assert float(row[4]) == 0.0
 
 
 @pytest.mark.parametrize("task,field,value,named", [

@@ -2,6 +2,7 @@
 of the approximately-uncorrelated criterion."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from cwrmt import (
     mc_trace_moment,
     mixing_measure,
 )
-from cwrmt.errors import DomainError, UnsupportedEnsembleError
+from cwrmt.correlations import _traces
+from cwrmt.errors import DomainError, ResourceError, UnsupportedEnsembleError
 
 
 def _cw_measure(beta, scale):
@@ -179,3 +181,55 @@ def test_mc_trace_moment_needs_two_replicas():
     cfg = EnsembleConfig(kind="full_cw", N=4, beta=0.5, seed=137)
     with pytest.raises(DomainError, match="replicas must be >= 2, got 1"):
         mc_trace_moment(cfg, 4, 0.5, 1)
+
+
+def test_mc_trace_moment_needs_a_positive_walk_length():
+    cfg = EnsembleConfig(kind="full_cw", N=4, beta=0.5, seed=137)
+    with pytest.raises(DomainError, match="k must be >= 1, got 0"):
+        mc_trace_moment(cfg, 0, 0.5, 100)
+
+
+# ---------------------------------------------------------------------------
+# exact integer traces
+# ---------------------------------------------------------------------------
+
+def test_mc_trace_moment_int64_guard():
+    # 39^12 > 2^63 - 1: tr X^k of a +-1 matrix could overflow int64
+    cfg = EnsembleConfig("full_cw", N=39, beta=0.5)
+    with pytest.raises(ResourceError, match=r"N=39, k=12"):
+        mc_trace_moment(cfg, 12, 0.5, 100)
+
+
+def test_traces_exact_at_the_int64_boundary():
+    # 38^12 < 2^63: the all-ones matrix J has tr J^k = N^k, the largest
+    # |tr X^k| of a +-1 matrix, and every partial sum stays below it
+    J = np.ones((2, 38, 38), dtype=np.int64)
+    assert _traces(J, 12).tolist() == [38**12, 38**12]
+    cfg = EnsembleConfig("full_cw", N=38, beta=0.5, seed=139)
+    est, se = mc_trace_moment(cfg, 12, 0.5, 2)
+    assert math.isfinite(est) and math.isfinite(se)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_traces_match_eigenvalue_power_sums(k):
+    rng = np.random.default_rng(k)
+    for N in range(1, 7):
+        U = np.triu(rng.choice(np.array([-1, 1]), size=(50, N, N)))
+        X = U + np.triu(U, 1).transpose(0, 2, 1)
+        lam = np.linalg.eigvalsh(X.astype(float))
+        assert (_traces(X.astype(np.int64), k).tolist()
+                == np.rint((lam ** k).sum(-1)).astype(np.int64).tolist())
+
+
+def test_mc_trace_moment_memory_is_blocked():
+    # the int64 powers are formed a few thousand matrices at a time, not
+    # for the whole 10^5-matrix batch at once
+    cfg = EnsembleConfig("full_cw", N=6, beta=0.5, seed=149)
+    mixing_measure(cfg)  # build the cached measure outside the window
+    tracemalloc.start()
+    try:
+        mc_trace_moment(cfg, 10, 0.5, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24e6
