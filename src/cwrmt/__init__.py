@@ -8,9 +8,6 @@ largest-eigenvalue transition at the critical coupling.
 
 from .circuits import (
     CircuitClass,
-    CircuitStats,
-    circuit_stats,
-    doubled_tree_count,
     enumerate_classes,
     exact_trace_moment,
     verify_simple_edge_bound,

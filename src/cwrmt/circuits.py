@@ -13,25 +13,21 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .errors import DomainError, NumericError, ResourceError
 
 __all__ = [
-    "CircuitStats",
     "CircuitClass",
     "ClassTable",
-    "circuit_stats",
     "class_table",
     "enumerate_classes",
     "exact_trace_moment",
     "verify_simple_edge_bound",
-    "doubled_tree_count",
     "falling_factorial",
 ]
 
@@ -50,42 +46,6 @@ def falling_factorial(N: int, r: int) -> int:
 
 
 @dataclass(frozen=True)
-class CircuitStats:
-    rho: int  # distinct vertices
-    sigma_simple: int  # multiplicity-1 edges, loops included
-    sigma_simple_proper: int  # multiplicity-1 non-loop edges
-    multiplicities: dict  # unordered pair (v, w) with v <= w -> nu(v, w)
-    odd_edge_count: int  # pairs with odd multiplicity
-    loop_count: int  # distinct vertices carrying a loop
-
-
-def circuit_stats(values: Sequence[int]) -> CircuitStats:
-    """Edge multiplicities and derived counts of the closed walk `values`."""
-    k = len(values)
-    if k < 1:
-        raise DomainError("index tuple must be non-empty")
-    mult: Counter = Counter()
-    for m in range(k):
-        v, w = values[m], values[(m + 1) % k]
-        mult[(v, w) if v <= w else (w, v)] += 1
-    rho = len(set(values))
-    sigma_simple = sum(1 for nu in mult.values() if nu == 1)
-    sigma_simple_proper = sum(
-        1 for (v, w), nu in mult.items() if nu == 1 and v != w)
-    odd = sum(1 for nu in mult.values() if nu % 2 == 1)
-    loops = sum(1 for (v, w) in mult if v == w)
-    # inequality of the simple-edge bound, checked on every construction
-    if rho - sigma_simple / 2 > k / 2 + 1:
-        raise NumericError(
-            f"simple-edge bound violated by walk {tuple(values)}: "
-            f"rho={rho}, sigma_simple={sigma_simple}, k={k}")
-    return CircuitStats(rho=rho, sigma_simple=sigma_simple,
-                        sigma_simple_proper=sigma_simple_proper,
-                        multiplicities=dict(mult), odd_edge_count=odd,
-                        loop_count=loops)
-
-
-@dataclass(frozen=True)
 class CircuitClass:
     """Canonical representative of one relabeling class: labels 1, 2, ...
     appear in first-use order."""
@@ -95,10 +55,6 @@ class CircuitClass:
     sigma_simple: int
     sigma_simple_proper: int
     odd_edge_count: int
-
-    def count_at(self, N: int) -> int:
-        """Number of tuples in {1..N}^k belonging to this class."""
-        return falling_factorial(N, self.rho)
 
 
 @dataclass(frozen=True)
@@ -259,16 +215,6 @@ def verify_simple_edge_bound(k_max: int) -> dict:
         checked += len(rho)
     return {"k_max": k_max, "classes_checked": checked,
             "violations": violations}
-
-
-def doubled_tree_count(k: int, N: int) -> int:
-    """Number of length-k walks on {1..N} whose graph is a doubled tree
-    (rho = k/2 + 1 distinct vertices, no simple edge): the Catalan number
-    C_{k/2} rooted planar trees times the vertex labelings."""
-    if k % 2 != 0 or k < 2:
-        raise DomainError(f"k must be a positive even integer, got {k}")
-    c = math.comb(k, k // 2) // (k // 2 + 1)
-    return c * falling_factorial(N, k // 2 + 1)
 
 
 def classes_csv_rows(k: int) -> Iterator[tuple]:

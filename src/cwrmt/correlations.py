@@ -33,6 +33,10 @@ def mc_correlation(cfg: EnsembleConfig, positions,
     """
     if replicas < 100:
         raise DomainError(f"replicas must be >= 100, got {replicas}")
+    for p in positions:
+        if not all(1 <= v <= cfg.N for v in p):
+            raise DomainError(f"position {tuple(p)} lies outside the "
+                              f"matrix: 1 <= i, j <= N={cfg.N}")
     sym = [(min(i, j), max(i, j)) for (i, j) in positions]
     if len(set(sym)) != len(sym):
         raise DomainError("positions must be distinct after symmetrization")
@@ -52,7 +56,7 @@ def mc_correlation(cfg: EnsembleConfig, positions,
 
 
 def _traces(X: np.ndarray, k: int) -> np.ndarray:
-    """tr X^k per matrix of the int64 stack X: tr(X^(k - k//2) X^(k//2))."""
+    """tr X^k per matrix of the stack X: tr(X^(k - k//2) X^(k//2))."""
     if k == 1:
         return X.trace(axis1=1, axis2=2)
     Q = X
@@ -64,7 +68,9 @@ def _traces(X: np.ndarray, k: int) -> np.ndarray:
 def mc_trace_moment(cfg: EnsembleConfig, k: int, gamma: float,
                     replicas: int) -> tuple[float, float]:
     """Monte Carlo estimate of E[(1/N) tr (X/N^gamma)^k] from exact integer
-    traces of batched samples: int64 holds every partial sum, <= N^k < 2^63."""
+    traces of batched samples.  Every partial sum is an integer of size at
+    most N^k, so the powers are exact in float64 (with BLAS products) while
+    N^k <= 2^53 and in int64 while N^k < 2^63."""
     if cfg.kind == "diagonal_cw":
         raise UnsupportedEnsembleError(
             "the trace-moment oracle needs a single shared latent t")
@@ -74,16 +80,17 @@ def mc_trace_moment(cfg: EnsembleConfig, k: int, gamma: float,
     if cfg.N**k >= 2**63:
         raise ResourceError(f"N={cfg.N}, k={k}: int64 traces need N^k < 2^63")
     rng = seed_stream(cfg.seed, cfg.replica_index, "mc")
+    dtype = np.float64 if cfg.N**k <= 2**53 else np.int64
     traces = np.empty(replicas, dtype=np.int64)
     batch = max(1, min(replicas, int(2e7 // (cfg.N * cfg.N))))
-    block = max(1, 2**18 // cfg.N**2)  # about 2 MB of int64 per power
+    block = max(1, 2**18 // cfg.N**2)  # about 2 MB per power
     for done in range(0, replicas, batch):
         n = min(batch, replicas - done)
         # looked up at call time, so a wrapped module attribute is used
         X = ensembles.sample_full_cw_batch(cfg, n, rng)
         out = traces[done:done + n]
         for j in range(0, n, block):
-            out[j:j + block] = _traces(X[j:j + block].astype(np.int64), k)
+            out[j:j + block] = _traces(X[j:j + block].astype(dtype), k)
     norm = float(cfg.N) ** (1 + k * gamma)
     return (float(traces.mean()) / norm,
             float(traces.std(ddof=1)) / math.sqrt(replicas) / norm)

@@ -1,11 +1,16 @@
 """Closed-walk combinatorics: circuit statistics, relabeling classes, the
-exact trace-moment class sum, and the simple-proper-edge bound."""
+exact trace-moment class sum, and the simple-proper-edge bound.
+
+`circuit_stats` (a per-walk loop) and `doubled_tree_count` (a closed form)
+below are oracles independent of the vectorised class table they check."""
 
 import dataclasses
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -16,9 +21,7 @@ from cwrmt import (
     DeFinettiMeasure,
     EnsembleConfig,
     PointMass,
-    circuit_stats,
     curie_weiss_potential,
-    doubled_tree_count,
     enumerate_classes,
     exact_trace_moment,
     mixing_measure,
@@ -26,10 +29,56 @@ from cwrmt import (
 )
 from cwrmt import circuits
 from cwrmt.circuits import class_table, classes_csv_rows, falling_factorial
-from cwrmt.errors import DomainError, ResourceError
+from cwrmt.errors import DomainError, NumericError, ResourceError
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570,
         4213597]
+
+
+@dataclass(frozen=True)
+class CircuitStats:
+    rho: int  # distinct vertices
+    sigma_simple: int  # multiplicity-1 edges, loops included
+    sigma_simple_proper: int  # multiplicity-1 non-loop edges
+    multiplicities: dict  # unordered pair (v, w) with v <= w -> nu(v, w)
+    odd_edge_count: int  # pairs with odd multiplicity
+    loop_count: int  # distinct vertices carrying a loop
+
+
+def circuit_stats(values: Sequence[int]) -> CircuitStats:
+    """Edge multiplicities and derived counts of the closed walk `values`."""
+    k = len(values)
+    if k < 1:
+        raise DomainError("index tuple must be non-empty")
+    mult: Counter = Counter()
+    for m in range(k):
+        v, w = values[m], values[(m + 1) % k]
+        mult[(v, w) if v <= w else (w, v)] += 1
+    rho = len(set(values))
+    sigma_simple = sum(1 for nu in mult.values() if nu == 1)
+    sigma_simple_proper = sum(
+        1 for (v, w), nu in mult.items() if nu == 1 and v != w)
+    odd = sum(1 for nu in mult.values() if nu % 2 == 1)
+    loops = sum(1 for (v, w) in mult if v == w)
+    # inequality of the simple-edge bound, checked on every construction
+    if rho - sigma_simple / 2 > k / 2 + 1:
+        raise NumericError(
+            f"simple-edge bound violated by walk {tuple(values)}: "
+            f"rho={rho}, sigma_simple={sigma_simple}, k={k}")
+    return CircuitStats(rho=rho, sigma_simple=sigma_simple,
+                        sigma_simple_proper=sigma_simple_proper,
+                        multiplicities=dict(mult), odd_edge_count=odd,
+                        loop_count=loops)
+
+
+def doubled_tree_count(k: int, N: int) -> int:
+    """Number of length-k walks on {1..N} whose graph is a doubled tree
+    (rho = k/2 + 1 distinct vertices, no simple edge): the Catalan number
+    C_{k/2} rooted planar trees times the vertex labelings."""
+    if k % 2 != 0 or k < 2:
+        raise DomainError(f"k must be a positive even integer, got {k}")
+    c = math.comb(k, k // 2) // (k // 2 + 1)
+    return c * falling_factorial(N, k // 2 + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +179,7 @@ def test_classes_match_exhaustive_enumeration():
     classes = {c.canonical: c for c in enumerate_classes(4)}
     assert set(raw) == set(classes)
     for canonical, count in raw.items():
-        assert classes[canonical].count_at(4) == count
+        assert falling_factorial(4, classes[canonical].rho) == count
 
 
 def test_canonical_first_occurrence_order():
@@ -206,7 +255,7 @@ def test_exact_moment_matches_fraction_sum(N, k):
     m = mixing_measure(EnsembleConfig(kind="full_cw", N=N, beta=0.5))
     tuples = Counter()
     for c in enumerate_classes(k):
-        tuples[c.odd_edge_count] += c.count_at(N)
+        tuples[c.odd_edge_count] += falling_factorial(N, c.rho)
     exact = sum(n * Fraction(m.moment(odd))
                 for odd, n in tuples.items()) / N ** (1 + k // 2)
     got = exact_trace_moment(m, N, k, 0.5)

@@ -388,6 +388,8 @@ def test_main_bad_scalar_field(tmp_path, capsys, task, field, value, named):
     ("esd", "tolerances.ks_mean", "x",
      "tolerances.ks_mean must be a number, got 'x'"),
     ("correlations", "K_list", [0], "K_list entry must be >= 1, got 0"),
+    ("correlations", "K_list", [11],
+     "position (21, 22) lies outside the matrix: 1 <= i, j <= N=20"),
 ])
 def test_main_bad_config_field(tmp_path, capsys, task, key, value, named):
     # every field of the spec, the ensemble mapping and the tolerances table

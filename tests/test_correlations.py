@@ -2,6 +2,7 @@
 of the approximately-uncorrelated criterion."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -87,6 +88,15 @@ def test_mc_duplicate_positions_rejected():
     cfg = EnsembleConfig(kind="iid", N=10, seed=113)
     with pytest.raises(DomainError):
         mc_correlation(cfg, [(1, 2), (2, 1)], 500)
+
+
+@pytest.mark.parametrize("position", [(0, 1), (10, 11), (11, 2)])
+def test_mc_positions_outside_the_matrix_rejected(position):
+    # positions are 1-based like X_ij: 1 <= i, j <= N
+    cfg = EnsembleConfig(kind="full_cw", N=10, beta=0.5, seed=113)
+    with pytest.raises(DomainError,
+                       match=rf"position {re.escape(str(position))} .*N=10"):
+        mc_correlation(cfg, [(1, 2), position], 500)
 
 
 def test_mc_replica_floor():
@@ -210,6 +220,13 @@ def test_traces_exact_at_the_int64_boundary():
     assert math.isfinite(est) and math.isfinite(se)
 
 
+def test_traces_exact_at_the_float64_boundary():
+    # 98^8 <= 2^53 < 99^8: the largest N at k = 8 whose float64 powers of a
+    # +-1 matrix are exact
+    J = np.ones((2, 98, 98))
+    assert _traces(J, 8).tolist() == [98**8, 98**8]
+
+
 @pytest.mark.parametrize("k", range(1, 11))
 def test_traces_match_eigenvalue_power_sums(k):
     rng = np.random.default_rng(k)
@@ -217,8 +234,9 @@ def test_traces_match_eigenvalue_power_sums(k):
         U = np.triu(rng.choice(np.array([-1, 1]), size=(50, N, N)))
         X = U + np.triu(U, 1).transpose(0, 2, 1)
         lam = np.linalg.eigvalsh(X.astype(float))
-        assert (_traces(X.astype(np.int64), k).tolist()
-                == np.rint((lam ** k).sum(-1)).astype(np.int64).tolist())
+        expected = np.rint((lam ** k).sum(-1)).astype(np.int64).tolist()
+        for dtype in (np.int64, np.float64):
+            assert _traces(X.astype(dtype), k).tolist() == expected
 
 
 def test_mc_trace_moment_memory_is_blocked():
