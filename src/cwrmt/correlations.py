@@ -56,21 +56,26 @@ def mc_correlation(cfg: EnsembleConfig, positions,
 
 
 def _traces(X: np.ndarray, k: int) -> np.ndarray:
-    """tr X^k per matrix of the stack X: tr(X^(k - k//2) X^(k//2))."""
+    """tr X^k per ±1 matrix of the stack X, as an exact int64 tr(P Q) with
+    Q = X^(k//2), P = X^(k - k//2).  For N^k < 2^63 every entry and partial
+    sum of P and Q is an integer of size at most N^ceil(k/2) < 2^42, so the
+    float64 (BLAS) powers are exact; only the final contraction, of size up
+    to N^k, is summed in int64."""
+    X = X.astype(np.float64)
     if k == 1:
-        return X.trace(axis1=1, axis2=2)
+        return X.trace(axis1=1, axis2=2).astype(np.int64)
     Q = X
     for _ in range(k // 2 - 1):
         Q = Q @ X
-    return np.einsum("bij,bji->b", Q @ X if k % 2 else Q, Q)
+    P = Q @ X if k % 2 else Q
+    return np.einsum("bij,bji->b", P.astype(np.int64), Q.astype(np.int64))
 
 
 def mc_trace_moment(cfg: EnsembleConfig, k: int, gamma: float,
                     replicas: int) -> tuple[float, float]:
     """Monte Carlo estimate of E[(1/N) tr (X/N^gamma)^k] from exact integer
-    traces of batched samples.  Every partial sum is an integer of size at
-    most N^k, so the powers are exact in float64 (with BLAS products) while
-    N^k <= 2^53 and in int64 while N^k < 2^63."""
+    traces of batched samples; int64 holds tr X^k, of size at most N^k, while
+    N^k < 2^63."""
     if cfg.kind == "diagonal_cw":
         raise UnsupportedEnsembleError(
             "the trace-moment oracle needs a single shared latent t")
@@ -80,7 +85,6 @@ def mc_trace_moment(cfg: EnsembleConfig, k: int, gamma: float,
     if cfg.N**k >= 2**63:
         raise ResourceError(f"N={cfg.N}, k={k}: int64 traces need N^k < 2^63")
     rng = seed_stream(cfg.seed, cfg.replica_index, "mc")
-    dtype = np.float64 if cfg.N**k <= 2**53 else np.int64
     traces = np.empty(replicas, dtype=np.int64)
     batch = max(1, min(replicas, int(2e7 // (cfg.N * cfg.N))))
     block = max(1, 2**18 // cfg.N**2)  # about 2 MB per power
@@ -90,7 +94,7 @@ def mc_trace_moment(cfg: EnsembleConfig, k: int, gamma: float,
         X = ensembles.sample_full_cw_batch(cfg, n, rng)
         out = traces[done:done + n]
         for j in range(0, n, block):
-            out[j:j + block] = _traces(X[j:j + block].astype(dtype), k)
+            out[j:j + block] = _traces(X[j:j + block], k)
     norm = float(cfg.N) ** (1 + k * gamma)
     return (float(traces.mean()) / norm,
             float(traces.std(ddof=1)) / math.sqrt(replicas) / norm)

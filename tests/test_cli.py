@@ -393,7 +393,8 @@ def test_main_bad_scalar_field(tmp_path, capsys, task, field, value, named):
 ])
 def test_main_bad_config_field(tmp_path, capsys, task, key, value, named):
     # every field of the spec, the ensemble mapping and the tolerances table
-    # is checked before the task runs
+    # is checked before the task runs; a value only a task can check (the
+    # correlation positions against N) exits 2 from inside it
     config = {"task": task, "ensemble": {"kind": "generalized", "N": 20,
                                          "beta": 0.5, "alpha": 1.0},
               "replicas": 200, "output_dir": str(tmp_path)}

@@ -19,6 +19,7 @@ from cwrmt import (
     mc_trace_moment,
     mixing_measure,
 )
+from cwrmt import ensembles
 from cwrmt.correlations import _traces
 from cwrmt.errors import DomainError, ResourceError, UnsupportedEnsembleError
 
@@ -212,19 +213,27 @@ def test_mc_trace_moment_int64_guard():
 
 def test_traces_exact_at_the_int64_boundary():
     # 38^12 < 2^63: the all-ones matrix J has tr J^k = N^k, the largest
-    # |tr X^k| of a +-1 matrix, and every partial sum stays below it
-    J = np.ones((2, 38, 38), dtype=np.int64)
-    assert _traces(J, 12).tolist() == [38**12, 38**12]
+    # |tr X^k| of a +-1 matrix, and every partial sum stays below it; 37^12
+    # is odd and above 2^53, so a float64 contraction would round it
+    for N in (38, 37):
+        J = np.ones((2, N, N), dtype=np.int8)
+        assert _traces(J, 12).tolist() == [N**12, N**12]
     cfg = EnsembleConfig("full_cw", N=38, beta=0.5, seed=139)
     est, se = mc_trace_moment(cfg, 12, 0.5, 2)
     assert math.isfinite(est) and math.isfinite(se)
 
 
-def test_traces_exact_at_the_float64_boundary():
-    # 98^8 <= 2^53 < 99^8: the largest N at k = 8 whose float64 powers of a
-    # +-1 matrix are exact
-    J = np.ones((2, 98, 98))
-    assert _traces(J, 8).tolist() == [98**8, 98**8]
+@pytest.mark.parametrize("N,k", [(98, 8), (99, 8), (38, 12)])
+def test_mc_trace_moment_exact_on_the_all_ones_matrix(monkeypatch, N, k):
+    # tr J^k = N^k, the largest |tr X^k| of a +-1 matrix; 98^8 <= 2^53 <
+    # 99^8 < 38^12 < 2^63, so these cells straddle float64's exact range
+    def ones(cfg, n, rng):
+        return np.ones((n, cfg.N, cfg.N), dtype=np.int8)
+    monkeypatch.setattr(ensembles, "sample_full_cw_batch", ones)
+    gamma = 0.5
+    cfg = EnsembleConfig("full_cw", N=N, beta=0.5, seed=151)
+    assert mc_trace_moment(cfg, k, gamma, 4) == (N**k / N**(1 + k * gamma),
+                                                 0.0)
 
 
 @pytest.mark.parametrize("k", range(1, 11))
@@ -234,13 +243,12 @@ def test_traces_match_eigenvalue_power_sums(k):
         U = np.triu(rng.choice(np.array([-1, 1]), size=(50, N, N)))
         X = U + np.triu(U, 1).transpose(0, 2, 1)
         lam = np.linalg.eigvalsh(X.astype(float))
-        expected = np.rint((lam ** k).sum(-1)).astype(np.int64).tolist()
-        for dtype in (np.int64, np.float64):
-            assert _traces(X.astype(dtype), k).tolist() == expected
+        assert (_traces(X.astype(np.int8), k).tolist()
+                == np.rint((lam ** k).sum(-1)).astype(np.int64).tolist())
 
 
 def test_mc_trace_moment_memory_is_blocked():
-    # the int64 powers are formed a few thousand matrices at a time, not
+    # the powers are formed a few thousand matrices at a time, not
     # for the whole 10^5-matrix batch at once
     cfg = EnsembleConfig("full_cw", N=6, beta=0.5, seed=149)
     mixing_measure(cfg)  # build the cached measure outside the window
