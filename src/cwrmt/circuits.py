@@ -35,14 +35,7 @@ K_MAX = 12  # Bell(12) = 4213597 classes; the class-table guard
 _CHUNK_ROWS = 1 << 16  # walks per block of the edge statistics
 
 
-def falling_factorial(N: int, r: int) -> int:
-    """N (N-1) ... (N-r+1); zero when r > N."""
-    out = 1
-    for j in range(r):
-        out *= N - j
-        if out == 0:
-            return 0
-    return out
+falling_factorial = math.perm  # N (N-1) ... (N-r+1); zero when r > N
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -140,12 +140,15 @@ class ExperimentSpec:
         if "task" not in d:
             raise ConfigError("config must set 'task'")
         spec = cls(**d)
-        if spec.task not in _TASK_FNS:
+        if not isinstance(spec.output_dir, str):
+            raise ConfigError(
+                f"output_dir must be a string, got {spec.output_dir!r}")
+        if not isinstance(spec.task, str) or spec.task not in _TASK_FNS:
             raise ConfigError(f"unknown task {spec.task!r}; "
                               f"expected one of {tuple(_TASK_FNS)}")
-        if spec.task != "graphcheck" and not isinstance(spec.ensemble, dict):
-            raise ConfigError("'ensemble' must be a mapping")
-        ens = spec.ensemble if isinstance(spec.ensemble, dict) else {}
+        ens = spec.ensemble
+        if not isinstance(ens, dict):
+            raise ConfigError(f"'ensemble' must be a mapping, got {ens!r}")
         for key, fix in (("potential", "give beta for the Curie-Weiss "
                                        "potential"),
                          ("seed", "set the top-level seed")):
@@ -202,10 +205,7 @@ def _pool_size(replicas: int) -> int:
 def _parallel_map(fn, args_list):
     """Run fn over args in a pool; results returned in input order so the
     aggregates are independent of thread count."""
-    workers = _pool_size(len(args_list))
-    if workers == 1:
-        return [fn(a) for a in args_list]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=_pool_size(len(args_list))) as pool:
         return list(pool.map(fn, args_list))
 
 
@@ -329,10 +329,11 @@ def _task_norm(spec: ExperimentSpec, out: Path) -> dict:
     return {"per_N": {str(N): v for N, v in per_N.items()}, "checks": checks}
 
 
-def _laplace_rows(spec: ExperimentSpec) -> list:
+def _laplace_rows(spec: ExperimentSpec) -> tuple:
     """(K, scale, exact, asymptotic) for every K x scale of the spec,
     K-major: the K-th moment of the Curie-Weiss mixing measure at that scale
-    (cached) and its Laplace asymptotic."""
+    (cached) and its Laplace asymptotic; then the rows at max(scales), one
+    per K, which the checks read."""
     beta = spec.ensemble.get("beta")
     if beta is None:
         raise ConfigError(f"{spec.task} task requires ensemble.beta")
@@ -343,12 +344,13 @@ def _laplace_rows(spec: ExperimentSpec) -> list:
             rows.append((K, s, measure.moment(K),
                          definetti.laplace_moment_asymptotic(
                              measure.minimum, K, s)))
-    return rows
+    largest = spec.scales.index(max(spec.scales))
+    return rows, rows[largest::len(spec.scales)]
 
 
 def _task_correlations(spec: ExperimentSpec, out: Path) -> dict:
     tol = spec.tolerances
-    cells = _laplace_rows(spec)
+    cells, at_largest = _laplace_rows(spec)
     label = f"beta={spec.ensemble['beta']:g}"
     mc_cfg = spec.ensemble_config(replica=0)
     mc = {K: correlations.mc_correlation(
@@ -364,13 +366,10 @@ def _task_correlations(spec: ExperimentSpec, out: Path) -> dict:
                 "mc_stderr"],
                [(label, K, s, exact, asym, *mc[K])
                 for K, s, exact, asym in cells])
-    # the cell at the largest scale, within each K's block of len(scales)
-    largest = spec.scales.index(max(spec.scales))
     checks = {
         f"laplace_ratio_K{K}": abs(exact / asym - 1.0)
         < tol["laplace_ratio"] * 5
-        for K, _, exact, asym in cells[largest::len(spec.scales)]
-        if asym != 0}
+        for K, _, exact, asym in at_largest if asym != 0}
     return {"reports": reports,
             "approx_uncorrelated": correlations.approx_uncorrelated(mc_cfg),
             "checks": checks}
@@ -414,14 +413,13 @@ def _task_graphcheck(spec: ExperimentSpec, out: Path) -> dict:
 def _task_laplace(spec: ExperimentSpec, out: Path) -> dict:
     tol = spec.tolerances
     beta = spec.ensemble.get("beta")
+    cells, at_largest = _laplace_rows(spec)
     rows = [(beta, K, s, exact, asym,
              exact / asym if asym != 0 else float("nan"))
-            for K, s, exact, asym in _laplace_rows(spec)]
-    # the cell at the largest scale, within each K's block of len(scales)
-    largest = spec.scales.index(max(spec.scales))
-    checks = {f"ratio_converges_K{K}": abs(ratio - 1.0) < tol["laplace_ratio"]
-              for _, K, _, _, _, ratio in rows[largest::len(spec.scales)]
-              if not math.isnan(ratio)}
+            for K, s, exact, asym in cells]
+    checks = {f"ratio_converges_K{K}":
+              abs(exact / asym - 1.0) < tol["laplace_ratio"]
+              for K, _, exact, asym in at_largest if asym != 0}
     _write_csv(out / "laplace.csv",
                ["beta", "K", "scale", "exact", "asymptotic", "ratio"], rows)
     return {"rows": rows, "checks": checks}
@@ -446,12 +444,11 @@ def run(spec: ExperimentSpec) -> dict:
     t0 = time.perf_counter()
     body = _TASK_FNS[spec.task](spec, out)
     elapsed = time.perf_counter() - t0
-    checks = body.get("checks", {})
     report = {
-        "spec": _jsonable(spec.__dict__),
+        "spec": asdict(spec),
         "task": spec.task,
         "result": body,
-        "passed": all(checks.values()) if checks else True,
+        "passed": all(body["checks"].values()),
         "wall_clock_seconds": elapsed,
     }
     with open(out / "summary.json", "w") as fh:
@@ -466,8 +463,6 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     return obj
 
 
@@ -479,18 +474,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cwrmt")
     sub = p.add_subparsers(dest="command", required=True)
     r = sub.add_parser("run", help="run one experiment from a JSON config")
-    r.add_argument("--config", type=str, default=None,
-                   help="path to the JSON experiment spec")
+    r.add_argument("--config", help="path to the JSON experiment spec")
     r.add_argument("--task", choices=_TASK_FNS)
-    r.add_argument("--ensemble", type=str,
+    r.add_argument("--ensemble", dest="ensemble.kind", metavar="ENSEMBLE",
                    help="ensemble kind (full_cw|diagonal_cw|generalized|iid)")
-    r.add_argument("--beta", type=float)
-    r.add_argument("--alpha", type=float)
-    r.add_argument("--n", type=int, help="matrix dimension")
+    r.add_argument("--beta", type=float, dest="ensemble.beta", metavar="BETA")
+    r.add_argument("--alpha", type=float, dest="ensemble.alpha",
+                   metavar="ALPHA")
+    r.add_argument("--n", type=int, dest="ensemble.N", metavar="N",
+                   help="matrix dimension")
     r.add_argument("--replicas", type=int)
     r.add_argument("--seed", type=int)
     r.add_argument("--k-max", type=int, dest="k_max")
-    r.add_argument("--out", type=str, dest="output_dir")
+    r.add_argument("--out", dest="output_dir")
     return p
 
 
@@ -504,21 +500,18 @@ def _spec_from_args(args) -> ExperimentSpec:
             raise OSError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
-    # flags win over file values
-    for key in ("task", "replicas", "seed", "k_max", "output_dir"):
-        v = getattr(args, key, None)
-        if v is not None:
-            raw[key] = v
-    ens = dict(raw.get("ensemble") or {})
-    if args.ensemble is not None:
-        ens["kind"] = args.ensemble
-    if args.beta is not None:
-        ens["beta"] = args.beta
-    if args.alpha is not None:
-        ens["alpha"] = args.alpha
-    if args.n is not None:
-        ens["N"] = args.n
-    raw["ensemble"] = ens
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {raw!r}")
+    if raw.get("ensemble") is None:
+        raw["ensemble"] = {}
+    # flags win over file values; a dest "ensemble.x" sets the ensemble's key
+    # x, unless the ensemble is not a mapping, which from_dict rejects
+    for dest, v in vars(args).items():
+        where, _, key = dest.rpartition(".")
+        into = raw["ensemble"] if where else raw
+        if v is not None and dest not in ("command", "config") \
+                and isinstance(into, dict):
+            into[key] = v
     return ExperimentSpec.from_dict(raw)
 
 

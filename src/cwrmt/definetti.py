@@ -365,7 +365,6 @@ class DeFinettiMeasure:
         self._build(self._initial_breaks())
         self.log_normalizer = (-0.5 * self.scale * self.minimum.F_at_a
                                + math.log(2.0 * self._mass))
-        self._moment_cache: dict[int, float] = {}
         ts = np.tanh(self._ys)
         i0 = int(self._ys[0] == 0.0)  # y = 0 appears once in the full table
         self.cdf_table = (
@@ -477,10 +476,7 @@ class DeFinettiMeasure:
             return 1.0
         if K % 2 == 1:
             return 0.0
-        if K not in self._moment_cache:
-            self._moment_cache[K] = float(
-                np.dot(self._w, self._t**K) / self._mass)
-        return self._moment_cache[K]
+        return float(np.dot(self._w, self._t**K) / self._mass)
 
     def mass(self, lo: float, hi: float) -> float:
         """mu([lo, hi]) from the CDF table."""

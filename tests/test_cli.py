@@ -16,7 +16,9 @@ from cwrmt.cli import (
     EXIT_RESOURCE,
     EXIT_TOLERANCE,
     ExperimentSpec,
+    _build_parser,
     _pool_size,
+    _spec_from_args,
     main,
     run,
 )
@@ -215,6 +217,22 @@ def test_main_config_file_with_flag_overrides(tmp_path):
     assert summary["spec"]["ensemble"]["N"] == 90
 
 
+def test_flags_win_over_file_values(tmp_path):
+    # every flag, the ensemble's included, replaces the file's value; keys
+    # no flag names keep the file's value
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps({
+        "task": "esd", "seed": 1, "replicas": 2,
+        "ensemble": {"kind": "iid", "N": 10, "beta": 0.5, "alpha": 1.0}}))
+    args = _build_parser().parse_args(
+        ["run", "--config", str(cfg_path), "--seed", "3", "--ensemble",
+         "generalized", "--alpha", "1.5", "--n", "40"])
+    spec = _spec_from_args(args)
+    assert (spec.task, spec.seed, spec.replicas) == ("esd", 3, 2)
+    assert spec.ensemble == {"kind": "generalized", "N": 40, "beta": 0.5,
+                             "alpha": 1.5}
+
+
 def test_main_config_error(tmp_path, capsys):
     code = main(["run", "--task", "esd", "--ensemble", "full_cw",
                  "--n", "50", "--out", str(tmp_path)])  # missing beta
@@ -261,6 +279,29 @@ def test_main_invalid_json(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+_VALID = {"task": "esd", "ensemble": {"kind": "iid", "N": 20}}
+
+
+@pytest.mark.parametrize("config,named", [
+    ([1, 2], "config must be a JSON object, got [1, 2]"),
+    ({**_VALID, "ensemble": [1, 2]},
+     "'ensemble' must be a mapping, got [1, 2]"),
+    ({**_VALID, "ensemble": 5}, "'ensemble' must be a mapping, got 5"),
+    ({**_VALID, "ensemble": "ab"}, "'ensemble' must be a mapping, got 'ab'"),
+    ({**_VALID, "task": ["esd"]}, "unknown task ['esd']"),
+    ({**_VALID, "output_dir": 5}, "output_dir must be a string, got 5"),
+    ({**_VALID, "output_dir": None}, "output_dir must be a string, got None"),
+])
+def test_main_malformed_config_shape(tmp_path, capsys, config, named):
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps(config))
+    code = main(["run", "--config", str(cfg_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert named in err
+
+
 def test_main_numeric_error(tmp_path, capsys):
     # beta=40 puts the minimum of F_beta at y* = artanh t ~ 40, where t
     # rounds to 1 in double precision
@@ -278,6 +319,8 @@ def test_main_numeric_error(tmp_path, capsys):
     # UnsupportedEnsembleError: no single mixing measure for the oracle
     ["--task", "oracle", "--ensemble", "diagonal_cw", "--beta", "0.5",
      "--n", "4", "--replicas", "200"],
+    # ConfigError: the Laplace tasks read the Curie-Weiss beta
+    ["--task", "laplace", "--ensemble", "iid", "--n", "4"],
 ])
 def test_main_domain_errors_are_config_errors(tmp_path, capsys, argv):
     code = main(["run", *argv, "--out", str(tmp_path)])
@@ -390,6 +433,7 @@ def test_main_bad_scalar_field(tmp_path, capsys, task, field, value, named):
     ("correlations", "K_list", [0], "K_list entry must be >= 1, got 0"),
     ("correlations", "K_list", [11],
      "position (21, 22) lies outside the matrix: 1 <= i, j <= N=20"),
+    ("esd", "ensemble.betta", 0.5, "bad ensemble config"),
 ])
 def test_main_bad_config_field(tmp_path, capsys, task, key, value, named):
     # every field of the spec, the ensemble mapping and the tolerances table

@@ -142,8 +142,15 @@ class TestPotentialType:
                       + np.asarray(t, dtype=float))
 
     def test_non_finite_rejected(self):
-        with pytest.raises(DomainError):
-            Potential(fn=lambda t: np.arctanh(np.asarray(t) * 1.0000001))
+        # even, so only the finiteness probe at |t| = 1 - 1e-6 can reject it
+        with pytest.raises(DomainError, match="not finite"), \
+                np.errstate(invalid="ignore"):
+            Potential(fn=lambda t: np.arctanh(np.abs(t) * (1 + 2e-6)) ** 2)
+
+    def test_disagreeing_y_form_rejected(self):
+        with pytest.raises(DomainError, match="disagrees"):
+            Potential(fn=lambda t: np.asarray(t, dtype=float) ** 2,
+                      fn_y=lambda y, y0: np.tanh(y) ** 4 - np.tanh(y0) ** 4)
 
     def test_finite_difference_fallback(self):
         p = Potential(fn=lambda t: np.arctanh(np.asarray(t, dtype=float)) ** 2,
