@@ -331,16 +331,15 @@ def _task_norm(spec: ExperimentSpec, out: Path) -> dict:
 
 def _laplace_rows(spec: ExperimentSpec) -> tuple:
     """(K, scale, exact, asymptotic) for every K x scale of the spec,
-    K-major: the K-th moment of the Curie-Weiss mixing measure at that scale
+    K-major: the K-th moment of the ensemble's mixing measure at that scale
     (cached) and its Laplace asymptotic; then the rows at max(scales), one
     per K, which the checks read."""
-    beta = spec.ensemble.get("beta")
-    if beta is None:
-        raise ConfigError(f"{spec.task} task requires ensemble.beta")
+    # the potential does not depend on N, so a run may leave N out
+    potential, _ = ensembles._law(spec.ensemble_config(N=1))
     rows = []
     for K in spec.K_list:
         for s in map(float, spec.scales):
-            measure = ensembles._cw_measure(beta, s)
+            measure = ensembles._measure(potential, s)
             rows.append((K, s, measure.moment(K),
                          definetti.laplace_moment_asymptotic(
                              measure.minimum, K, s)))
@@ -366,11 +365,18 @@ def _task_correlations(spec: ExperimentSpec, out: Path) -> dict:
                 "mc_stderr"],
                [(label, K, s, exact, asym, *mc[K])
                 for K, s, exact, asym in cells])
+    # the Monte Carlo column estimates the moment at the ensemble's own scale
+    law = ensembles._t_measure(mc_cfg)
+    exact_at_N = {K: law.moment(K) for K in spec.K_list}
     checks = {
         f"laplace_ratio_K{K}": abs(exact / asym - 1.0)
         < tol["laplace_ratio"] * 5
         for K, _, exact, asym in at_largest if asym != 0}
-    return {"reports": reports,
+    checks.update({
+        f"mc_matches_exact_K{K}": abs(mc[K][0] - exact)
+        <= tol["mc_sigmas"] * mc[K][1] + _ORACLE_ROUNDING * abs(exact)
+        for K, exact in exact_at_N.items()})
+    return {"reports": reports, "exact_at_N": exact_at_N,
             "approx_uncorrelated": correlations.approx_uncorrelated(mc_cfg),
             "checks": checks}
 

@@ -1,9 +1,9 @@
 """Mixing measures on (-1, 1) of the form e^{-S F(t)/2} / (1 - t^2).
 
-Provides the Curie-Weiss potential F_beta with analytic derivatives, exact
-moments, inverse-CDF sampling, minimum classification, and the matching
-Laplace-method asymptotics for moments.  A measure is computed in
-y = artanh t, where the 1/(1 - t^2) factor is the Jacobian and the density is
+Provides the Curie-Weiss potential F_beta, exact moments, inverse-CDF
+sampling, minimum classification, and the matching Laplace-method
+asymptotics for moments.  A measure is computed in y = artanh t, where the
+1/(1 - t^2) factor is the Jacobian and the density is
 e^{-S (G(y) - G(y*))/2} with G(y) = F(tanh y) and y* its minimum on [0, inf).
 """
 
@@ -33,9 +33,9 @@ __all__ = [
     "laplace_moment_asymptotic",
 ]
 
-_FD_STEP = 1e-4  # central differences for derivatives not given
 _Y_MAX = 18.5  # the minimum is searched on [0, _Y_MAX], where tanh y < 1
 _T_MAX = 1.0 - 2.0**-53  # largest double below 1: |t| beyond it rounds to 1
+_NU_MAX = 12  # the highest order of a minimum that is classified
 # integrand values e^-45 below the peak carry < 1e-16 of the mass; beyond
 # the cutoff the integrand must stay that low out to y = _Y_FAR
 _LOG_TAIL, _Y_FAR = 45.0, 1e6
@@ -56,16 +56,13 @@ class Potential:
     """An even potential F on (-1, 1), finite inside and diverging at the
     endpoints.
 
-    `fn` must accept numpy arrays.  Derivative callables are optional;
-    missing ones are replaced by central finite differences.  `fn_y`, if
-    given, is the closed y-form fn_y(y, y0) = F(tanh y) - F(tanh y0) for
-    y, y0 >= 0, free of cancellation near y0; measures use it instead of `fn`.
+    `fn` must accept numpy arrays.  `fn_y`, if given, is the closed y-form
+    fn_y(y, y0) = F(tanh y) - F(tanh y0) for y, y0 >= 0, free of
+    cancellation near y0; measures use it instead of `fn`.
     Only even potentials are supported: one that is not raises DomainError.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    d2: Callable[[float], float] | None = None
-    d4: Callable[[float], float] | None = None
     label: str = ""
     fn_y: Callable[[np.ndarray, float], np.ndarray] | None = None
 
@@ -86,20 +83,6 @@ class Potential:
 
     def __call__(self, t):
         return np.asarray(self.fn(np.asarray(t, dtype=float)), dtype=float)
-
-    def second_derivative(self, t: float) -> float:
-        if self.d2 is not None:
-            return float(self.d2(t))
-        h = _FD_STEP
-        return float((self(t + h) - 2 * self(t) + self(t - h)) / h**2)
-
-    def fourth_derivative(self, t: float) -> float:
-        if self.d4 is not None:
-            return float(self.d4(t))
-        h = max(_FD_STEP, 1e-3)
-        c = np.array([1.0, -4.0, 6.0, -4.0, 1.0])
-        ts = t + h * np.arange(-2, 3)
-        return float(np.dot(c, self(ts)) / h**4)
 
 
 def _excess(p: Potential, y, y0: float) -> np.ndarray:
@@ -131,38 +114,15 @@ def _cw_excess(beta: float, u: np.ndarray, y0: float) -> np.ndarray:
     return d * (u + y0) / beta - 2.0 * np.where(u < 300.0, near, far)
 
 
-def _cw_A(beta, t, u):
-    # helper polynomial in the closed-form derivatives of F_beta
-    return (2.0 / beta) * (1.0 + 2.0 * t * u) - 2.0 * (1.0 + t * t)
-
-
-def _cw_d2(beta: float, t: float) -> float:
-    u = math.atanh(t)
-    w = 1.0 / (1.0 - t * t)
-    return _cw_A(beta, t, u) * w * w
-
-
-def _cw_d4(beta: float, t: float) -> float:
-    u = math.atanh(t)
-    w = 1.0 / (1.0 - t * t)
-    A = _cw_A(beta, t, u)
-    A1 = (4.0 / beta) * (u + t * w) - 4.0 * t
-    A2 = (8.0 / beta) * (w + t * t * w * w) - 4.0
-    return (A2 * w**2 + 8.0 * t * A1 * w**3 + 4.0 * A * w**3
-            + 24.0 * t * t * A * w**4)
-
-
 def curie_weiss_potential(beta: float) -> Potential:
-    """F_beta(t) = (1/beta) * artanh(t)^2 + ln(1 - t^2), with analytic
-    derivatives and the y-form y^2/beta - 2 ln cosh y.
+    """F_beta(t) = (1/beta) * artanh(t)^2 + ln(1 - t^2), with the y-form
+    y^2/beta - 2 ln cosh y.
     F_beta''(0) = 2(1-beta)/beta and F_beta''''(0) = 16/beta - 12.
     """
     if not beta > 0:
         raise DomainError(f"beta must be positive, got {beta}")
     return Potential(
         fn=lambda t: _cw_value(beta, t),
-        d2=lambda t: _cw_d2(beta, t),
-        d4=lambda t: _cw_d4(beta, t),
         label=f"curie_weiss(beta={beta:g})",
         fn_y=lambda y, y0: _cw_excess(beta, y, y0),
     )
@@ -207,9 +167,8 @@ def magnetization(beta: float) -> float:
 class LaplaceExpansion:
     """Local data of the minimum of a potential on [0, 1).
 
-    For a quadratic minimum (nu=2) P = F''(a)/2; for a quartic minimum at 0
-    (nu=4) P = F''''(0)/24.  Q describes the 1/(1-t^2) density factor at the
-    minimum.
+    Near the minimum a, F(t) - F(a) ~ P (t - a)^nu for an even order nu.
+    Q describes the 1/(1-t^2) density factor at the minimum.
     """
 
     a: float
@@ -219,20 +178,31 @@ class LaplaceExpansion:
     F_at_a: float
 
     def __post_init__(self):
-        if self.nu not in (2, 4):
-            raise ClassificationError(f"nu must be 2 or 4, got {self.nu}")
+        if self.nu not in range(2, _NU_MAX + 1, 2):
+            raise ClassificationError(
+                f"nu must be an even order in [2, {_NU_MAX}], got {self.nu}")
         if not self.P > 0:
             raise ClassificationError(f"P must be positive, got {self.P}")
         if not 0.0 <= self.a < 1.0:
             raise ClassificationError(f"minimum location {self.a} not in [0,1)")
 
 
-_D2_THRESHOLD = 1e-8  # |F''(a)| below this means "not quadratic"
+# a Taylor coefficient of G at y* up to this counts as zero: at a = 0 the
+# h^2 one is F''(0)/2, so |F''(0)| <= 1e-8 is not quadratic
+_FLAT = 5e-9
+# steps h of the Taylor fit, and the weights that extrapolate a polynomial in
+# h^2 of degree < 6 from them to h = 0 (Richardson): its Lagrange basis at 0
+_H2 = (0.05 * 0.5 ** np.arange(6)) ** 2
+_TO_ZERO = np.array([np.prod(np.delete(_H2, j) / (np.delete(_H2, j) - x))
+                     for j, x in enumerate(_H2)])
 _SLOPE_STEP = 1e-7  # half-width of the difference that gives the sign of G'
 
 
 def _minimum(p: Potential) -> tuple[float, LaplaceExpansion]:
-    """The minimiser y* of G(y) = F(tanh y) on [0, inf) and its expansion."""
+    """The minimiser y* of G(y) = F(tanh y) on [0, inf) and its expansion:
+    nu is the least order whose Taylor coefficient P_y of the even part of
+    G(y* + h) - G(y*) is not zero, and P = P_y cosh^(2 nu) y*, as
+    dy/dt = cosh^2 y."""
     ys = np.linspace(0.0, _Y_MAX, 4097)
     vals = _excess(p, ys, 0.0)
     i = int(np.argmin(vals))
@@ -245,23 +215,25 @@ def _minimum(p: Potential) -> tuple[float, LaplaceExpansion]:
                 ys[max(i - 1, 0)], ys[i + 1], 1e-15)
     if y < 1e-6:
         y = 0.0
-    a = math.tanh(y)
-    d2 = p.second_derivative(a)
-    if abs(d2) > _D2_THRESHOLD:
-        if d2 < 0:
-            raise ClassificationError(
-                f"second derivative negative at argmin for {p.label!r}")
-        nu, P = 2, d2 / 2.0
+    # the h^nu coefficient of the even part of G(y + h) - G(y), if the lower
+    # ones vanish, is that part over h^nu extrapolated to h = 0
+    h = np.sqrt(_H2)
+    even = 0.5 * (_excess(p, y + h, y) + _excess(p, y - h, y))
+    for nu in range(2, _NU_MAX + 1, 2):
+        coef = float(_TO_ZERO @ (even / _H2 ** (nu // 2)))
+        if abs(coef) > _FLAT:
+            break
     else:
-        d4 = p.fourth_derivative(a)
-        if d4 <= _D2_THRESHOLD:
-            raise ClassificationError(
-                f"minimum of {p.label!r} flat beyond fourth order; "
-                "cannot classify")
-        nu, P = 4, d4 / 24.0
+        raise ClassificationError(
+            f"minimum of {p.label!r} flat beyond order {_NU_MAX}; "
+            "cannot classify")
+    if coef < 0:
+        raise ClassificationError(
+            f"order-{nu} coefficient negative at argmin for {p.label!r}")
+    P = coef * math.cosh(y) ** (2 * nu)
     G = float(_excess(p, y, 0.0)) + float(p(0.0))
-    return y, LaplaceExpansion(a=a, nu=nu, P=P, Q=math.cosh(y) ** 2,
-                               F_at_a=G)
+    return y, LaplaceExpansion(a=math.tanh(y), nu=nu, P=P,
+                               Q=math.cosh(y) ** 2, F_at_a=G)
 
 
 def find_minimum(p: Potential) -> LaplaceExpansion:
@@ -283,12 +255,9 @@ def laplace_moment_asymptotic(exp: LaplaceExpansion, K: int,
         return 0.5 * (exp.a**K + (-exp.a) ** K)
     if K % 2 == 1:
         return 0.0
-    if exp.nu == 2:
-        # (K-1)!! (P S)^(-K/2)
-        return (math.prod(range(K - 1, 0, -2)) * exp.P ** (-K / 2)
-                * scale ** (-K / 2))
-    c_k = math.gamma((K + 1) / 4.0) / math.gamma(0.25) * 2.0 ** (K / 4.0)
-    return c_k * exp.P ** (-K / 4) * scale ** (-K / 4)
+    nu = exp.nu
+    return (math.gamma((K + 1) / nu) / math.gamma(1 / nu)
+            * (2.0 / (exp.P * scale)) ** (K / nu))
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +351,7 @@ class DeFinettiMeasure:
         """Breaks at the mode +- j widths and at the tail cutoffs, where the
         integrand has dropped below e^-45 (inside, that may be y = 0)."""
         e, y0 = self.minimum, self._y0
-        if e.nu == 2:
-            width = e.Q * math.sqrt(2.0 / (self.scale * e.P))
-        else:
-            width = (2.0 / (self.scale * e.P)) ** 0.25
+        width = e.Q * (2.0 / (self.scale * e.P)) ** (1.0 / e.nu)
         steps = width * 2.0 ** np.arange(
             max(math.log2(_Y_FAR / width), 0.0) + 2.0)
         with np.errstate(divide="ignore"):

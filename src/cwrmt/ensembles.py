@@ -70,6 +70,10 @@ class EnsembleConfig:
             if self.potential is None and self.beta is None:
                 raise ConfigError(
                     "generalized kind requires a potential (or beta for F_beta)")
+        for key, unread in (("alpha", self.kind != "generalized"),
+                            ("beta", self.kind == "iid")):
+            if unread and getattr(self, key) is not None:
+                raise ConfigError(f"kind {self.kind} does not read {key}")
         if self.replica_index < 0:
             raise ConfigError("replica_index must be non-negative")
 
@@ -122,12 +126,10 @@ def _measure(potential: Potential, scale_: float) -> DeFinettiMeasure:
 _cw_potential = lru_cache(maxsize=64)(curie_weiss_potential)
 
 
-def _cw_measure(beta: float, scale_: float) -> DeFinettiMeasure:
-    return _measure(_cw_potential(beta), scale_)
-
-
 def _law(cfg: EnsembleConfig) -> tuple[Potential, float]:
-    """(F, s) of the law e^{-N^s F/2}/(1-t^2) of cfg's latent t (not iid)."""
+    """(F, s) of the law e^{-N^s F/2}/(1-t^2) of cfg's latent t."""
+    if cfg.kind == "iid":
+        raise UnsupportedEnsembleError("iid has no mixing measure")
     if cfg.kind == "generalized":
         return cfg.potential or _cw_potential(cfg.beta), cfg.alpha
     return _cw_potential(cfg.beta), 2 if cfg.kind == "full_cw" else 1

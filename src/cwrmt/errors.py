@@ -14,7 +14,7 @@ class IntegrabilityError(CwrmtError):
 
 
 class ClassificationError(CwrmtError):
-    """Potential minimum could not be classified as quadratic or quartic."""
+    """Potential minimum could not be located or classified up to order 12."""
 
 
 class ResourceError(CwrmtError):

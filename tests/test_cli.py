@@ -22,6 +22,7 @@ from cwrmt.cli import (
     main,
     run,
 )
+from cwrmt import ensembles
 from cwrmt.errors import ConfigError
 
 
@@ -167,9 +168,55 @@ def test_ratio_checks_read_their_own_cell(tmp_path, scales):
               "replicas": 100, "K_list": [2], "scales": scales,
               "tolerances": {"laplace_ratio": 2e-5}}
     corr = run(_spec(tmp_path / "c", task="correlations", **common))
-    assert corr["result"]["checks"] == {"laplace_ratio_K2": True}
+    assert corr["result"]["checks"] == {"laplace_ratio_K2": True,
+                                        "mc_matches_exact_K2": True}
     lap = run(_spec(tmp_path / "l", task="laplace", **common))
     assert lap["result"]["checks"] == {"ratio_converges_K2": True}
+
+
+def test_laplace_csv_cells_are_floats(tmp_path):
+    # every cell is a plain float literal, never a numpy repr
+    run(_spec(tmp_path, task="laplace",
+              ensemble={"kind": "full_cw", "N": 16, "beta": 1.0},
+              K_list=[2, 4], scales=[1e4, 1e6]))
+    rows = (tmp_path / "laplace.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == 4
+    for row in rows:
+        for cell in row.split(","):
+            float(cell)
+
+
+@pytest.mark.parametrize("ensemble", [
+    {"kind": "full_cw", "beta": 0.5}, {"kind": "diagonal_cw", "beta": 0.5},
+    {"kind": "generalized", "beta": 0.5, "alpha": 1.5}],
+    ids=["full_cw", "diagonal_cw", "generalized"])
+def test_correlations_mc_matches_exact(tmp_path, ensemble):
+    # positions (2i+1, 2i+2) share one latent t (for diagonal_cw, t_1), so
+    # the Monte Carlo column estimates the K-th moment of t's law at N^s
+    spec = _spec(tmp_path, task="correlations", replicas=2000,
+                 ensemble={**ensemble, "N": 20}, K_list=[2, 4],
+                 scales=[1e3, 1e4])
+    result = run(spec)["result"]
+    law = ensembles._t_measure(spec.ensemble_config())
+    assert result["exact_at_N"] == {K: law.moment(K) for K in (2, 4)}
+    assert result["checks"]["mc_matches_exact_K2"]
+    assert result["checks"]["mc_matches_exact_K4"]
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert set(summary["result"]["exact_at_N"]) == {"2", "4"}
+
+
+def test_correlations_mc_check_reads_the_ensemble_scale(tmp_path):
+    # at beta = 1 and 1e5 replicas the Monte Carlo estimate of E t^2 at
+    # N^2 = 400 lies more than mc_sigmas standard errors from the moment at
+    # either listed scale, so the check fails unless it reads N^2
+    spec = _spec(tmp_path, task="correlations", replicas=100_000,
+                 ensemble={"kind": "full_cw", "N": 20, "beta": 1.0},
+                 K_list=[2], scales=[1e3, 1e4])
+    result = run(spec)["result"]
+    assert result["checks"]["mc_matches_exact_K2"]
+    for row in result["reports"]:
+        assert abs(row["mc_estimate"] - row["exact"]) \
+            > spec.tolerances["mc_sigmas"] * row["mc_stderr"]
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +366,25 @@ def test_main_numeric_error(tmp_path, capsys):
     # UnsupportedEnsembleError: no single mixing measure for the oracle
     ["--task", "oracle", "--ensemble", "diagonal_cw", "--beta", "0.5",
      "--n", "4", "--replicas", "200"],
-    # ConfigError: the Laplace tasks read the Curie-Weiss beta
+    # UnsupportedEnsembleError: iid has no mixing measure to tabulate
     ["--task", "laplace", "--ensemble", "iid", "--n", "4"],
+    ["--task", "correlations", "--ensemble", "iid", "--n", "4"],
 ])
 def test_main_domain_errors_are_config_errors(tmp_path, capsys, argv):
     code = main(["run", *argv, "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_main_unread_ensemble_key(tmp_path, capsys):
+    # full_cw does not read alpha; running as if it were absent would echo
+    # alpha = 2 in summary.json
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps({
+        "task": "esd", "replicas": 1, "output_dir": str(tmp_path),
+        "ensemble": {"kind": "full_cw", "beta": 0.5, "alpha": 2, "N": 20}}))
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert "kind full_cw does not read alpha" in capsys.readouterr().err
 
 
 def test_main_graphcheck_needs_a_walk_length(tmp_path, capsys):

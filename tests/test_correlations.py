@@ -11,6 +11,7 @@ import pytest
 from cwrmt import (
     DeFinettiMeasure,
     EnsembleConfig,
+    Potential,
     approx_uncorrelated,
     curie_weiss_potential,
     find_minimum,
@@ -132,6 +133,18 @@ def test_approx_uncorrelated(kind, beta, alpha, holds):
     # (s = 2) up to beta = 1, diagonal_cw (s = 1) below it, generalized at
     # beta = 1 (nu = 4) from alpha = 2
     cfg = EnsembleConfig(kind=kind, N=64, beta=beta, alpha=alpha)
+    assert approx_uncorrelated(cfg) is holds
+
+
+@pytest.mark.parametrize("alpha,holds", [(2.0, False), (3.0, True)])
+def test_approx_uncorrelated_sextic(alpha, holds):
+    # artanh(t)^6 = y^6 has a minimum of order nu = 6 at 0, so the bound
+    # holds from alpha = nu/2 = 3
+    sextic = Potential(fn=lambda t: np.arctanh(np.asarray(t, dtype=float))
+                       ** 6, label="artanh6")
+    cfg = EnsembleConfig(kind="generalized", N=64, alpha=alpha,
+                         potential=sextic)
+    assert find_minimum(sextic).nu == 6
     assert approx_uncorrelated(cfg) is holds
 
 

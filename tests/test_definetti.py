@@ -74,6 +74,34 @@ LOGZ_PINS = [
 ]
 
 
+# (nu, P) of the minimum of F_beta, F(t) - F(a) ~ P (t - a)^nu, from mpmath
+# at 30 digits: P = (1/beta - sech^2 y*) cosh^4 y* = F''(a)/2 with
+# y* = beta m(beta), and P = 1/6 = F''''(0)/24 at beta = 1:
+#   import mpmath as mp
+#   mp.mp.dps = 30
+#   b = mp.mpf(beta)
+#   ys = mp.findroot(lambda y: y / b - mp.tanh(y), b) if b > 1 else 0
+#   mp.nstr((1 / b - mp.sech(ys) ** 2) * mp.cosh(ys) ** 4, 25)
+MINIMUM_PINS = [
+    (0.3, 2, "2.333333333333333333333333"),
+    (0.5, 2, "1.0"),
+    (0.99, 2, "0.01010101010101010101010101"),
+    (1.0, 4, "0.1666666666666666666666667"),
+    (1.01, 2, "0.02077300634091797320680944"),
+    (1.5, 2, "5.843287381897222047214322"),
+    (2.0, 2, "60.23394531637484990907015"),
+    (5.0, 2, "6049150.492109183040694652"),
+    (8.0, 2, "616891739542.3031948445511"),
+    (15.0, 2, "475836412415365036833128.2"),
+]
+
+
+def _artanh_power(k):
+    """artanh(t)^k = y^k: its minimum at 0 has order k and P = 1."""
+    return Potential(fn=lambda t: np.arctanh(np.asarray(t, dtype=float)) ** k,
+                     label=f"artanh{k}")
+
+
 class _FixedUniforms:
     """Stands in for a Generator: `random(size)` returns the given u."""
 
@@ -94,21 +122,6 @@ def _zero_potential():
 # ---------------------------------------------------------------------------
 
 class TestCurieWeissPotential:
-    def test_second_derivative_at_zero_half(self):
-        p = curie_weiss_potential(0.5)
-        assert p.second_derivative(0.0) == pytest.approx(2.0, abs=1e-12)
-
-    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.8, 2.0, 5.0])
-    def test_second_derivative_closed_form(self, beta):
-        p = curie_weiss_potential(beta)
-        assert p.second_derivative(0.0) == pytest.approx(
-            2.0 * (1.0 - beta) / beta, abs=1e-12)
-
-    def test_critical_beta_quartic(self):
-        p = curie_weiss_potential(1.0)
-        assert p.second_derivative(0.0) == pytest.approx(0.0, abs=1e-12)
-        assert p.fourth_derivative(0.0) == pytest.approx(4.0, abs=1e-10)
-
     def test_value_pins(self):
         assert float(curie_weiss_potential(2.0)(0.5)) == pytest.approx(
             F_2_AT_HALF, abs=1e-14)
@@ -125,14 +138,6 @@ class TestCurieWeissPotential:
     def test_nonpositive_beta_rejected(self, beta):
         with pytest.raises(DomainError):
             curie_weiss_potential(beta)
-
-    @pytest.mark.parametrize("beta", [0.4, 1.7])
-    def test_analytic_derivatives_match_finite_differences(self, beta):
-        p = curie_weiss_potential(beta)
-        h = 1e-5
-        for t in (0.0, 0.2, -0.45, 0.7):
-            fd2 = (float(p(t + h)) - 2 * float(p(t)) + float(p(t - h))) / h**2
-            assert p.second_derivative(t) == pytest.approx(fd2, abs=1e-3)
 
 
 class TestPotentialType:
@@ -151,13 +156,6 @@ class TestPotentialType:
         with pytest.raises(DomainError, match="disagrees"):
             Potential(fn=lambda t: np.asarray(t, dtype=float) ** 2,
                       fn_y=lambda y, y0: np.tanh(y) ** 4 - np.tanh(y0) ** 4)
-
-    def test_finite_difference_fallback(self):
-        p = Potential(fn=lambda t: np.arctanh(np.asarray(t, dtype=float)) ** 2,
-                      label="atanh-squared")
-        # artanh(t)^2 = t^2 + (2/3) t^4 + ...
-        assert p.second_derivative(0.0) == pytest.approx(2.0, abs=1e-5)
-        assert p.fourth_derivative(0.0) == pytest.approx(16.0, rel=1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +342,6 @@ class TestFindMinimum:
         for beta in (0.5, 2.0):
             p = curie_weiss_potential(beta)
             exp = find_minimum(p)
-            assert exp.P == pytest.approx(
-                p.second_derivative(exp.a) / 2.0, abs=1e-8)
             assert exp.F_at_a == pytest.approx(float(p(exp.a)), abs=1e-14)
 
     def test_boundary_minimum_rejected(self):
@@ -355,18 +351,45 @@ class TestFindMinimum:
         with pytest.raises(ClassificationError):
             find_minimum(downhill)
 
-    def test_flat_beyond_fourth_order_rejected(self):
-        sextic = Potential(
-            fn=lambda t: np.asarray(t, dtype=float) ** 6,
-            d2=lambda t: 30.0 * t**4,
-            d4=lambda t: 360.0 * t**2,
-            label="sextic")
-        with pytest.raises(ClassificationError):
-            find_minimum(sextic)
+    def test_flat_beyond_order_twelve_rejected(self):
+        with pytest.raises(ClassificationError, match="flat beyond order 12"):
+            find_minimum(_artanh_power(14))
+
+    @pytest.mark.parametrize("beta,nu,P", MINIMUM_PINS,
+                             ids=[f"{b:g}" for b, _, _ in MINIMUM_PINS])
+    def test_minimum_matches_mpmath(self, beta, nu, P):
+        exp = find_minimum(curie_weiss_potential(beta))
+        assert exp.nu == nu
+        assert exp.P == pytest.approx(float(P), rel=1e-9)
+        assert type(exp.P) is float
+
+    @pytest.mark.parametrize("beta,nu", [
+        (1 - 1e-9, 4), (1 + 1e-9, 4), (1 - 1e-7, 2), (1 + 1e-7, 2)])
+    def test_order_near_critical(self, beta, nu):
+        # G''(y*) <= 1e-8 counts as zero: within about 1e-9 of beta = 1 the
+        # minimum is quartic, and from about 1e-7 quadratic
+        assert find_minimum(curie_weiss_potential(beta)).nu == nu
+
+    def test_sextic_minimum(self):
+        # artanh(t)^6 = y^6: nu = 6 and P = 1, and the K = 2 moment's ratio
+        # to Gamma(3/6)/Gamma(1/6) (2/S)^(2/6) rises towards 1
+        pot = _artanh_power(6)
+        exp = find_minimum(pot)
+        assert (exp.a, exp.nu) == (0.0, 6)
+        assert exp.P == pytest.approx(1.0, rel=1e-9)
+        ratios = [DeFinettiMeasure(pot, S).moment(2)
+                  / laplace_moment_asymptotic(exp, 2, S)
+                  for S in (1e2, 1e4, 1e6, 1e8)]
+        assert all(a < b for a, b in zip(ratios, ratios[1:]))
+        assert 0.89 < ratios[0] and ratios[-1] > 0.998
 
     def test_expansion_invariants(self):
         with pytest.raises(ClassificationError):
             LaplaceExpansion(a=0.0, nu=3, P=1.0, Q=1.0, F_at_a=0.0)
+        with pytest.raises(ClassificationError):
+            LaplaceExpansion(a=0.0, nu=14, P=1.0, Q=1.0, F_at_a=0.0)
+        assert LaplaceExpansion(a=0.0, nu=12, P=1.0, Q=1.0, F_at_a=0.0).nu \
+            == 12
         with pytest.raises(ClassificationError):
             LaplaceExpansion(a=0.0, nu=2, P=-1.0, Q=1.0, F_at_a=0.0)
         with pytest.raises(ClassificationError):
@@ -459,13 +482,10 @@ class TestLaplaceAsymptotics:
 
 def test_classification_error_names_beta():
     # every Curie-Weiss beta of the reference grid builds; a minimum flat
-    # beyond fourth order still cannot be classified, and the message names
-    # the potential
-    sextic = Potential(fn=lambda t: np.asarray(t, dtype=float) ** 6,
-                       d2=lambda t: 30.0 * t**4, d4=lambda t: 360.0 * t**2,
-                       label="sextic")
-    with pytest.raises(ClassificationError, match="sextic"):
-        DeFinettiMeasure(sextic, 1e4)
+    # beyond order 12 still cannot be classified, and the message names the
+    # potential
+    with pytest.raises(ClassificationError, match="artanh14"):
+        DeFinettiMeasure(_artanh_power(14), 1e4)
 
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])

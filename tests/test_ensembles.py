@@ -81,6 +81,14 @@ def test_config_validation():
         EnsembleConfig(kind="generalized", N=4, beta=0.5)  # missing alpha
     with pytest.raises(ConfigError):
         EnsembleConfig(kind="iid", N=4, replica_index=-1)
+    # a key the kind does not read would be echoed in summary.json as if it
+    # had shaped the run
+    with pytest.raises(ConfigError, match="kind full_cw does not read alpha"):
+        EnsembleConfig(kind="full_cw", N=4, beta=0.5, alpha=2.0)
+    with pytest.raises(ConfigError, match="kind iid does not read alpha"):
+        EnsembleConfig(kind="iid", N=4, alpha=2.0)
+    with pytest.raises(ConfigError, match="kind iid does not read beta"):
+        EnsembleConfig(kind="iid", N=4, beta=0.5)
 
 
 def test_with_replica():
