@@ -298,23 +298,22 @@ def _task_norm(spec: ExperimentSpec, out: Path) -> dict:
         def one(replica, N=N):
             cfg = spec.ensemble_config(N=N, replica=replica)
             X = ensembles.sample_matrix(cfg)
-            lam = spectral.eigenvalues(ensembles.scale(X, 0.5))
-            a_norm = float(max(abs(lam[0]), abs(lam[-1])))
+            a_norm, bound = spectral.norm(ensembles.scale(X, 0.5))
             latent = X.latent_t if np.ndim(X.latent_t) == 0 else None
-            return a_norm, a_norm / math.sqrt(N), latent
+            return a_norm, a_norm / math.sqrt(N), latent, bound
 
         res = _parallel_map(one, list(range(spec.replicas)))
-        a_norms = [r[0] for r in res]
-        b_norms = [r[1] for r in res]
+        a_norms, b_norms, latents, bounds = zip(*res)
         per_N[N] = {
             "a_norm_mean": float(np.mean(a_norms)),
             "a_norm_stderr": float(np.std(a_norms, ddof=1)
                                    / math.sqrt(len(a_norms)))
             if len(a_norms) > 1 else 0.0,
             "b_norm_mean": float(np.mean(b_norms)),
-            "latents": [r[2] for r in res],
+            "latents": list(latents),
+            "norm_bound": max(bounds),  # the worst replica's
         }
-        rows += [(N, r_i, a, b) for r_i, (a, b, _) in enumerate(res)]
+        rows += [(N, r_i, a, b) for r_i, (a, b, *_) in enumerate(res)]
     _write_csv(out / "norms.csv", ["N", "replica", "a_norm", "b_norm"], rows)
     checks = {}
     if beta is not None and beta > 1 and spec.ensemble.get("kind") == "full_cw":

@@ -1,7 +1,9 @@
 """Spectra and semicircle reference statistics.
 
-Eigenvalues come from LAPACK's dense symmetric solver; the semicircle
-pdf/cdf/moments are closed-form, with Catalan numbers as the even moments.
+Eigenvalues come from LAPACK's dense symmetric solver (esd, moments); the
+operator norm alone from Lanczos with a certified residual bound (norm).
+The semicircle pdf/cdf/moments are closed-form, with Catalan numbers as the
+even moments.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .errors import DomainError, NumericError
 __all__ = [
     "SpectralSummary",
     "eigenvalues",
+    "norm",
     "summarize",
     "semicircle_pdf",
     "semicircle_cdf",
@@ -26,6 +29,7 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-8
+_NORM_TOL = 1e-9  # relative residual bound at which `norm` stops
 
 
 def catalan(k: int) -> int:
@@ -75,6 +79,49 @@ def eigenvalues(A: ScaledMatrix) -> np.ndarray:
         raise NumericError(f"eigensolver failed for N={A.source.N}: {exc}")
     _check_identities(lam, vals)
     return lam
+
+
+def norm(A: ScaledMatrix) -> tuple[float, float]:
+    """Operator norm max |lambda| of the scaled matrix, and a bound on its
+    relative error, by Lanczos with full reorthogonalisation (twice per step)
+    from a fixed start vector that moves no replica stream.
+
+    Each Ritz value theta of T_j lies within its residual bound beta_j |s| (s:
+    the last entry of its eigenvector) of an eigenvalue of A.  It stops when
+    the end of larger |theta| has a bound <= _NORM_TOL |theta| and the other
+    end's |theta| plus its bound is no larger (so a negative outlier is read
+    too), when beta_j is below the rounding level N eps |theta| (the Krylov
+    space is invariant), or at step N.  The bound returned is the residual
+    bound over |theta| plus the rounding level."""
+    vals = A.values
+    N = len(vals)
+    rounding = N * np.finfo(float).eps
+    V, T = np.empty((0, N)), np.zeros((0, 0))
+    v, b = np.random.default_rng(0).standard_normal(N), 0.0
+    v /= np.linalg.norm(v)
+    for j in range(N):
+        if j == len(V):  # grow the basis 64 rows at a time
+            V = np.concatenate([V, np.empty((min(N - j, 64), N))])
+            T = np.pad(T, (0, len(V) - len(T)))
+        V[j] = v
+        w = vals @ v
+        T[j, j] = v @ w
+        if j:
+            T[j, j - 1] = T[j - 1, j] = b
+        # classical Gram-Schmidt twice also takes out the three-term part
+        for _ in range(2):
+            w -= (V[:j + 1] @ w) @ V[:j + 1]
+        b = float(np.linalg.norm(w))
+        if not math.isfinite(b):
+            raise NumericError(f"Lanczos met a non-finite value for N={N}")
+        theta, S = np.linalg.eigh(T[:j + 1, :j + 1])
+        ends = (-1, 0) if abs(theta[-1]) >= abs(theta[0]) else (0, -1)
+        top, other = (float(abs(theta[e])) for e in ends)
+        r_top, r_other = (b * float(abs(S[-1, e])) for e in ends)
+        if (r_top <= _NORM_TOL * top and other + r_other <= top
+                or b <= rounding * top or j == N - 1):
+            return top, r_top / top + rounding
+        v = w / b
 
 
 def _check_identities(lam: np.ndarray, vals: np.ndarray):

@@ -4,6 +4,9 @@ emitted CSVs, and exit codes."""
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +99,17 @@ def test_norm_task_supercritical(tmp_path):
     report = run(spec)
     assert report["result"]["checks"]["b_norm_near_magnetization"]
     assert (tmp_path / "norms.csv").exists()
+    # the norms are certified to 1e-9 relative, plus the rounding level
+    assert 0 < report["result"]["per_N"]["128"]["norm_bound"] < 2e-9
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.5])
+def test_norm_task_passes_across_seeds(tmp_path, beta):
+    for seed in range(10):
+        spec = _spec(tmp_path, task="norm",
+                     ensemble={"kind": "full_cw", "beta": beta},
+                     N_grid=[64, 256], seed=seed)
+        assert run(spec)["passed"], seed
 
 
 def test_main_norm_duplicate_grid_entry_runs_once(tmp_path):
@@ -234,6 +248,31 @@ def test_byte_identical_csvs_across_runs_and_thread_counts(
         run(spec)
         outs.append((tmp_path / sub / "eigenvalues.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_norms_csv_ignores_thread_settings(tmp_path):
+    # OPENBLAS_NUM_THREADS is read when numpy loads, so each setting runs in
+    # its own interpreter, which runs the task at both pool sizes
+    code = ("import os, sys\n"
+            "from cwrmt.cli import main\n"
+            "for pool in '12':\n"
+            "    os.environ['CWRMT_THREADS'] = pool\n"
+            "    main(['run', '--task', 'norm', '--ensemble', 'full_cw',\n"
+            "          '--beta', '0.5', '--n', '300', '--replicas', '2',\n"
+            "          '--seed', '3', '--out', sys.argv[1] + pool])\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = set()
+    for blas in (None, "1", "2"):
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if blas:
+            env["OPENBLAS_NUM_THREADS"] = blas
+        out = tmp_path / f"blas{blas}-pool"
+        subprocess.run([sys.executable, "-c", code, str(out)], env=env,
+                       check=True, capture_output=True, timeout=120)
+        outs |= {(tmp_path / f"{out.name}{pool}" / "norms.csv").read_bytes()
+                 for pool in "12"}
+    assert len(outs) == 1
 
 
 # ---------------------------------------------------------------------------

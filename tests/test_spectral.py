@@ -140,6 +140,72 @@ def test_eigen_residuals():
 
 
 # ---------------------------------------------------------------------------
+# operator norm by Lanczos
+# ---------------------------------------------------------------------------
+
+def _dense_norm(A):
+    lam = np.linalg.eigvalsh(A.values)
+    return max(abs(lam[0]), abs(lam[-1]))
+
+
+@pytest.mark.parametrize("kind,kw", [
+    ("full_cw", {"beta": 0.5}), ("full_cw", {"beta": 1.0}),
+    ("full_cw", {"beta": 1.5}),
+    ("diagonal_cw", {"beta": 0.5}), ("diagonal_cw", {"beta": 1.0}),
+    ("diagonal_cw", {"beta": 1.5}),
+    ("generalized", {"beta": 0.5, "alpha": 1.0}),
+    ("generalized", {"beta": 1.0, "alpha": 1.0}),
+    ("generalized", {"beta": 1.5, "alpha": 1.0}),
+    ("iid", {})])
+def test_norm_matches_dense_eigensolve(kind, kw):
+    for N in (64, 256, 512):
+        for seed in (3, 4, 5):
+            A = scale(sample_matrix(
+                EnsembleConfig(kind=kind, N=N, seed=seed, **kw)), 0.5)
+            ref = _dense_norm(A)
+            value, bound = spectral.norm(A)
+            assert abs(value - ref) <= min(bound, 1e-12) * ref
+
+
+@pytest.mark.parametrize("exponent", [0.0, 0.5, 1.0])
+def test_norm_degenerate_inputs(exponent):
+    # N = 1 stops at step 1; +-all-ones is rank one and breaks down at step 2
+    # with the eigenvalue +-N; [[1, 1], [1, -1]] (x) ones(k, k) has the tied
+    # ends +-sqrt(2) k, so only its breakdown at step 3 stops it before step N
+    cases = [(sign * np.ones((N, N)), N)
+             for N in (1, 2, 7, 300) for sign in (1, -1)]
+    cases.append((np.kron([[1, 1], [1, -1]], np.ones((150, 150))),
+                  math.sqrt(2) * 150))
+    for entries, eig in cases:
+        ref = eig / len(entries)**exponent
+        value, bound = spectral.norm(scale(_spin_matrix(entries), exponent))
+        assert value == pytest.approx(ref, rel=4 * np.finfo(float).eps)
+        assert abs(value - ref) <= bound * ref
+        assert bound < 1e-12
+
+
+def test_norm_reads_a_negative_outlier():
+    # at beta > 1 the outlier sits at ~ t sqrt(N): for t < 0 it is the
+    # lowest eigenvalue, and the top of the spectrum is the bulk edge
+    cfg = EnsembleConfig(kind="full_cw", N=256, beta=1.5, seed=5)
+    X = sample_matrix(cfg)
+    assert X.latent_t < 0
+    A = scale(X, 0.5)
+    lam = np.linalg.eigvalsh(A.values)
+    assert -lam[0] > 4 * lam[-1]
+    value, bound = spectral.norm(A)
+    assert abs(value + lam[0]) <= min(bound, 1e-12) * -lam[0]
+
+
+def test_norm_waits_for_the_other_end():
+    # the isolated top eigenvalue 126 converges within a few steps, long
+    # before the Ritz value of the clustered bottom end reaches -127
+    d = np.array([126, *range(-127, 1)])
+    value, bound = spectral.norm(scale(_spin_matrix(np.diag(d)), 0.0))
+    assert abs(value - 127) <= min(bound, 1e-12) * 127
+
+
+# ---------------------------------------------------------------------------
 # Kolmogorov distance
 # ---------------------------------------------------------------------------
 
