@@ -2,15 +2,18 @@
 
 `cwrmt run --config spec.json [overrides]` dispatches one of the tasks
 {esd, moments, norm, correlations, oracle, graphcheck, laplace}, runs the
-replicas in a thread pool (one worker per core, fewer with CWRMT_THREADS),
-and writes summary.json plus task-specific CSVs.  Exit status is nonzero iff
-validation or a configured tolerance fails.
+replicas in a thread pool (one worker per core, fewer with CWRMT_THREADS)
+over a one-thread OpenBLAS, and writes summary.json plus task-specific CSVs.
+Exit status is nonzero iff validation or a configured tolerance fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import ctypes
+import functools
 import itertools
 import json
 import math
@@ -207,6 +210,39 @@ def _parallel_map(fn, args_list):
     aggregates are independent of thread count."""
     with ThreadPoolExecutor(max_workers=_pool_size(len(args_list))) as pool:
         return list(pool.map(fn, args_list))
+
+
+@functools.cache
+def _blas_thread_fns():
+    """(get, set) of the thread count of the OpenBLAS under numpy's LAPACK, by
+    its numpy 2, numpy 1 or system name; None for other BLAS.  Never raises."""
+    try:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError, AttributeError):
+        return None
+    for name in ("scipy_openblas_%s_num_threads64_",
+                 "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
+        get, set_ = (getattr(lib, name % op, None) for op in ("get", "set"))
+        if get and set_:  # int get(void) and void set(int)
+            get.argtypes, set_.argtypes, set_.restype = [], [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread; yields 1, or None without one."""
+    get, set_ = _blas_thread_fns() or (None, None)
+    if set_ is None:
+        yield None
+        return
+    before = get()
+    set_(1)
+    try:
+        yield 1
+    finally:
+        set_(before)
 
 
 def _write_csv(path: Path, header, rows):
@@ -446,8 +482,15 @@ def run(spec: ExperimentSpec) -> dict:
     summary.json in the output directory)."""
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    env = {"numpy": np.__version__, "blas": blas.get("name"),
+           "blas_version": blas.get("version"), "cpu_count": os.cpu_count(),
+           "pool_size": _pool_size(spec.replicas), "thread_env": {
+               k: v for k, v in sorted(os.environ.items())
+               if k.endswith("_NUM_THREADS") or k == "CWRMT_THREADS"}}
     t0 = time.perf_counter()
-    body = _TASK_FNS[spec.task](spec, out)
+    with _one_blas_thread() as env["blas_threads"]:
+        body = _TASK_FNS[spec.task](spec, out)
     elapsed = time.perf_counter() - t0
     report = {
         "spec": asdict(spec),
@@ -455,6 +498,7 @@ def run(spec: ExperimentSpec) -> dict:
         "result": body,
         "passed": all(body["checks"].values()),
         "wall_clock_seconds": elapsed,
+        "env": env,
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(_jsonable(report), fh, indent=2)

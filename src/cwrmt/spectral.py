@@ -1,7 +1,7 @@
 """Spectra and semicircle reference statistics.
 
-Eigenvalues come from LAPACK's dense symmetric solver (esd, moments); the
-operator norm alone from Lanczos with a certified residual bound (norm).
+Eigenvalues come from LAPACK's dense symmetric solver (esd, moments), held at
+one OpenBLAS thread by `cwrmt run`; ||A|| alone from certified Lanczos (norm).
 The semicircle pdf/cdf/moments are closed-form, with Catalan numbers as the
 even moments.
 """
@@ -159,9 +159,5 @@ class SpectralSummary:
 def summarize(A: ScaledMatrix, k_max: int = 8) -> SpectralSummary:
     lam = eigenvalues(A)
     moments = np.array([float(np.mean(lam**k)) for k in range(1, k_max + 1)])
-    return SpectralSummary(
-        eigenvalues=lam,
-        moments=moments,
-        ks_to_semicircle=ks_distance_values(lam),
-    )
+    return SpectralSummary(lam, moments, ks_distance_values(lam))
 

@@ -25,7 +25,7 @@ from cwrmt.cli import (
     main,
     run,
 )
-from cwrmt import ensembles
+from cwrmt import cli, ensembles, spectral
 from cwrmt.errors import ConfigError
 
 
@@ -251,28 +251,98 @@ def test_byte_identical_csvs_across_runs_and_thread_counts(
 
 
 def test_norms_csv_ignores_thread_settings(tmp_path):
-    # OPENBLAS_NUM_THREADS is read when numpy loads, so each setting runs in
-    # its own interpreter, which runs the task at both pool sizes
+    # and so do esd's eigenvalues.csv and hist.csv.  OPENBLAS_NUM_THREADS is
+    # read when numpy loads, so each setting runs in its own interpreter,
+    # which runs both tasks at both pool sizes
     code = ("import os, sys\n"
             "from cwrmt.cli import main\n"
+            "codes = []\n"
             "for pool in '12':\n"
             "    os.environ['CWRMT_THREADS'] = pool\n"
-            "    main(['run', '--task', 'norm', '--ensemble', 'full_cw',\n"
-            "          '--beta', '0.5', '--n', '300', '--replicas', '2',\n"
-            "          '--seed', '3', '--out', sys.argv[1] + pool])\n")
+            "    for task in ('norm', 'esd'):\n"
+            "        codes.append(main([\n"
+            "            'run', '--task', task, '--ensemble', 'full_cw',\n"
+            "            '--beta', '0.5', '--n', '300', '--replicas', '2',\n"
+            "            '--seed', '3', '--out', sys.argv[1] + task + pool]))\n"
+            "sys.exit(max(codes))\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
-    outs = set()
+    outs = {}
     for blas in (None, "1", "2"):
         env = {**os.environ, "PYTHONPATH": src}
         env.pop("OPENBLAS_NUM_THREADS", None)
         if blas:
             env["OPENBLAS_NUM_THREADS"] = blas
-        out = tmp_path / f"blas{blas}-pool"
+        out = tmp_path / f"blas{blas}-"
         subprocess.run([sys.executable, "-c", code, str(out)], env=env,
                        check=True, capture_output=True, timeout=120)
-        outs |= {(tmp_path / f"{out.name}{pool}" / "norms.csv").read_bytes()
-                 for pool in "12"}
-    assert len(outs) == 1
+        for csv in tmp_path.glob(f"{out.name}*/*.csv"):
+            outs.setdefault(csv.name, []).append(csv.read_bytes())
+    assert {name: len(v) for name, v in outs.items()} == {
+        "norms.csv": 6, "eigenvalues.csv": 6, "hist.csv": 6}
+    assert all(len(set(v)) == 1 for v in outs.values())
+
+
+def test_run_holds_blas_at_one_thread_and_restores_it(tmp_path, monkeypatch):
+    fns = cli._blas_thread_fns()
+    if fns is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS")
+    get, set_ = fns
+    seen = []
+
+    def spy(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args):
+            seen.append(get())
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapped)
+
+    spy(spectral, "eigenvalues")
+    spy(ensembles, "_law")
+    before = get()
+    set_(2)
+    try:
+        report = run(_spec(tmp_path / "esd"))
+        assert get() == 2
+        # iid has no law to tabulate: the task raises, and exits 2
+        assert main(["run", "--task", "laplace", "--ensemble", "iid",
+                     "--out", str(tmp_path / "laplace")]) == EXIT_CONFIG
+        assert get() == 2
+    finally:
+        set_(before)
+    assert seen == [1, 1, 1]
+    assert report["passed"] and report["env"]["blas_threads"] == 1
+
+
+def test_run_without_blas_thread_control(tmp_path, monkeypatch):
+    # another BLAS (MKL, Accelerate): the task runs with its own threads
+    monkeypatch.setattr(cli, "_blas_thread_fns", lambda: None)
+    report = run(_spec(tmp_path))
+    assert report["passed"] and report["env"]["blas_threads"] is None
+
+
+def test_blas_lookup_never_raises(monkeypatch):
+    lookup = cli._blas_thread_fns.__wrapped__  # uncached
+
+    def no_library(path):
+        raise OSError(f"cannot open {path}")
+    monkeypatch.setattr(cli.ctypes, "CDLL", no_library)
+    assert lookup() is None
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: object())
+    assert lookup() is None
+
+
+def test_summary_records_the_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("CWRMT_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    run(_spec(tmp_path, task="graphcheck", k_max=3))
+    env = json.loads((tmp_path / "summary.json").read_text())["env"]
+    assert env["numpy"] == np.__version__
+    assert isinstance(env["blas"], str) and env["cpu_count"] >= 1
+    assert env["pool_size"] == 1
+    assert env["thread_env"]["CWRMT_THREADS"] == "1"
+    assert env["thread_env"]["OMP_NUM_THREADS"] == "3"
+    assert env["blas_threads"] == (1 if cli._blas_thread_fns() else None)
 
 
 # ---------------------------------------------------------------------------
