@@ -9,7 +9,8 @@ Rademacher baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,6 +29,9 @@ __all__ = [
 ]
 
 N_MAX = 4096
+
+# rows per block of `_spin_fill`
+_BLOCK = 64
 
 _PURPOSE_CODES = {"latent": 0, "spins": 1, "mc": 2}
 
@@ -77,9 +81,6 @@ class EnsembleConfig:
         if self.replica_index < 0:
             raise ConfigError("replica_index must be non-negative")
 
-    def with_replica(self, replica: int) -> "EnsembleConfig":
-        return replace(self, replica_index=replica)
-
 
 @dataclass(frozen=True)
 class SpinMatrix:
@@ -117,13 +118,24 @@ def scale(X: SpinMatrix, gamma: float) -> ScaledMatrix:
 # mixing measures (cached: construction runs adaptive quadrature)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
+def _cached_once(fn):
+    """lru_cache'd `fn` behind a lock: when replicas in the pool ask for the
+    same fresh key at once, the first builds it and the others wait for it."""
+    cached, lock = lru_cache(maxsize=64)(fn), threading.Lock()
+
+    def call(*args):
+        with lock:
+            return cached(*args)
+    return call
+
+
+@_cached_once
 def _measure(potential: Potential, scale_: float) -> DeFinettiMeasure:
     return DeFinettiMeasure(potential, scale_)
 
 
 # one Potential object per beta, so equal configs share a cache entry
-_cw_potential = lru_cache(maxsize=64)(curie_weiss_potential)
+_cw_potential = _cached_once(curie_weiss_potential)
 
 
 def _law(cfg: EnsembleConfig) -> tuple[Potential, float]:
@@ -168,14 +180,20 @@ def _latent(cfg: EnsembleConfig, rng: np.random.Generator,
 def _spin_fill(N: int, ts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Stack of symmetric matrices, one per row of latent means `ts`: row i
     of the upper triangle (incl. diagonal) is drawn across the stack, entry
-    (i, j) with mean ts[:, j - i] (one column: the same mean everywhere),
-    and mirrored."""
+    (i, j) with mean ts[:, j - i] (one column: the same mean everywhere).
+    Rows go in blocks of _BLOCK: each row is mirrored inside its diagonal
+    block, and each block's off-diagonal strip by one transposed copy."""
     p = 0.5 * (1.0 + ts)
     X = np.empty((len(ts), N, N), dtype=np.int8)
-    for i in range(N):
-        row = np.where(rng.random((len(ts), N - i)) < p[:, :N - i], 1, -1)
-        X[:, i, i:] = row
-        X[:, i:, i] = row
+    for r0 in range(0, N, _BLOCK):
+        r1 = min(r0 + _BLOCK, N)
+        for i in range(r0, r1):
+            row = X[:, i, i:]
+            np.less(rng.random((len(ts), N - i)), p[:, :N - i], out=row)
+            X[:, i + 1:r1, i] = row[:, 1:r1 - i]
+        X[:, r1:, r0:r1] = X[:, r0:r1, r1:].transpose(0, 2, 1)
+    X *= 2
+    X -= 1  # 1 where u < p, else -1
     return X
 
 

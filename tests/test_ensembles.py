@@ -3,19 +3,25 @@ deterministic streams, and conditional-iid structure."""
 
 import hashlib
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from cwrmt import (
+    DeFinettiMeasure,
     EnsembleConfig,
     PointMass,
+    curie_weiss_potential,
     mixing_measure,
     sample_matrix,
     scale,
     seed_stream,
 )
+from cwrmt import ensembles
 from cwrmt.ensembles import N_MAX, sample_full_cw_batch
 from cwrmt.errors import ConfigError, DomainError, UnsupportedEnsembleError
 
@@ -89,12 +95,6 @@ def test_config_validation():
         EnsembleConfig(kind="iid", N=4, alpha=2.0)
     with pytest.raises(ConfigError, match="kind iid does not read beta"):
         EnsembleConfig(kind="iid", N=4, beta=0.5)
-
-
-def test_with_replica():
-    cfg = _cfg("full_cw", 8, seed=9)
-    assert cfg.with_replica(3).replica_index == 3
-    assert cfg.replica_index == 0
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +258,44 @@ def test_scale_views():
 def test_generalized_measure_shared_across_replicas():
     # a generalized config given only beta builds its measure once, not once
     # per replica
-    cfg = _cfg("generalized", 30, beta=0.6, alpha=1.0)
-    assert mixing_measure(cfg.with_replica(0)) is mixing_measure(
-        cfg.with_replica(1))
+    cfgs = [_cfg("generalized", 30, beta=0.6, alpha=1.0, replica_index=r)
+            for r in (0, 1)]
+    assert mixing_measure(cfgs[0]) is mixing_measure(cfgs[1])
+
+
+def test_racing_replicas_build_a_measure_once(monkeypatch):
+    # more threads than cores miss the cache for the same fresh key at once;
+    # the slowed build keeps the first inside it while the others ask
+    builds = []
+    init = DeFinettiMeasure.__init__
+
+    def slow_init(self, *args, **kwargs):
+        builds.append(args)
+        time.sleep(0.05)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DeFinettiMeasure, "__init__", slow_init)
+    potential = curie_weiss_potential(0.4321)  # a key no other test uses
+    barrier = threading.Barrier(4)
+    got = []
+
+    def ask():
+        barrier.wait(timeout=10)
+        got.append(ensembles._measure(potential, 1e4))
+
+    threads = [threading.Thread(target=ask) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(builds) == 1
+    assert len(got) == 4 and all(m is got[0] for m in got)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +344,33 @@ def test_batch_stream_pinned():
     assert np.array_equal(X, X.transpose(0, 2, 1))
     assert hashlib.sha256(X.tobytes()).hexdigest() == \
         "cf6d53f5dc2eedfee4b4223704f5282fd0716736279324e2065a8d5c68d28482"
+
+
+def _row_fill(N, ts, rng):
+    """Reference sampler: row i of the upper triangle drawn across the
+    stack, entry (i, j) with mean ts[:, j - i], written to row i and
+    mirrored into column i."""
+    p = 0.5 * (1.0 + ts)
+    X = np.empty((len(ts), N, N), dtype=np.int8)
+    for i in range(N):
+        row = np.where(rng.random((len(ts), N - i)) < p[:, :N - i], 1, -1)
+        X[:, i, i:] = row
+        X[:, i:, i] = row
+    return X
+
+
+@pytest.mark.parametrize("N", [1, 2, 63, 64, 65, 129, 200])
+@pytest.mark.parametrize("B", [1, 4])
+@pytest.mark.parametrize("per_diagonal", [False, True])
+def test_block_fill_matches_row_fill(N, B, per_diagonal):
+    # the blocked sampler draws the same stream as the row-by-row one, at
+    # sizes on both sides of a block edge, with one shared mean per matrix
+    # (shape (B, 1)) and with one mean per diagonal (shape (B, N))
+    ts = np.random.default_rng(N).uniform(
+        -0.9, 0.9, (B, N if per_diagonal else 1))
+    X = ensembles._spin_fill(N, ts, np.random.default_rng(7))
+    assert X.dtype == np.int8
+    assert np.array_equal(X, _row_fill(N, ts, np.random.default_rng(7)))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
