@@ -30,8 +30,10 @@ __all__ = [
 
 N_MAX = 4096
 
-# rows per block of `_spin_fill`
+# rows per block of `_spin_fill`, and the most doubles it draws in one call
+# (2 MB) unless one row is longer
 _BLOCK = 64
+_DRAW_MAX = 2**18
 
 _PURPOSE_CODES = {"latent": 0, "spins": 1, "mc": 2}
 
@@ -182,15 +184,28 @@ def _spin_fill(N: int, ts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     of the upper triangle (incl. diagonal) is drawn across the stack, entry
     (i, j) with mean ts[:, j - i] (one column: the same mean everywhere).
     Rows go in blocks of _BLOCK: each row is mirrored inside its diagonal
-    block, and each block's off-diagonal strip by one transposed copy."""
+    block, and each block's off-diagonal strip by one transposed copy.
+    The uniforms of several rows come from one `rng.random` call (at most
+    _DRAW_MAX doubles, or one row if that is larger), split by row: the
+    same stream as one call per row, but a few long fills made without
+    the GIL, so pool threads sample in parallel."""
+    B = len(ts)
     p = 0.5 * (1.0 + ts)
-    X = np.empty((len(ts), N, N), dtype=np.int8)
+    X = np.empty((B, N, N), dtype=np.int8)
+    step = max(1, min(_BLOCK, _DRAW_MAX // (B * N)))  # rows per draw
     for r0 in range(0, N, _BLOCK):
         r1 = min(r0 + _BLOCK, N)
-        for i in range(r0, r1):
-            row = X[:, i, i:]
-            np.less(rng.random((len(ts), N - i)), p[:, :N - i], out=row)
-            X[:, i + 1:r1, i] = row[:, 1:r1 - i]
+        for d0 in range(r0, r1, step):
+            rows = range(d0, min(d0 + step, r1))
+            u = rng.random(B * sum(N - i for i in rows))
+            at = 0
+            for i in rows:
+                row = X[:, i, i:]
+                np.less(u[at:at + row.size].reshape(B, N - i), p[:, :N - i],
+                        out=row)
+                at += row.size
+                X[:, i + 1:r1, i] = row[:, 1:r1 - i]
+            del u  # before the next draw: one draw's buffer alive at a time
         X[:, r1:, r0:r1] = X[:, r0:r1, r1:].transpose(0, 2, 1)
     X *= 2
     X -= 1  # 1 where u < p, else -1

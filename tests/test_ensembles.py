@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -371,6 +372,73 @@ def test_block_fill_matches_row_fill(N, B, per_diagonal):
     X = ensembles._spin_fill(N, ts, np.random.default_rng(7))
     assert X.dtype == np.int8
     assert np.array_equal(X, _row_fill(N, ts, np.random.default_rng(7)))
+
+
+@pytest.mark.parametrize("N, B, rows_per_draw", [
+    (6, 50_000, 1), (65, 2_100, 1), (300, 20, 43)])
+@pytest.mark.parametrize("per_diagonal", [False, True])
+def test_capped_block_fill_matches_row_fill(N, B, rows_per_draw,
+                                            per_diagonal):
+    # where B * N * _BLOCK exceeds _DRAW_MAX one draw covers fewer rows
+    # than a block: one row (the first two cases, the second across a block
+    # edge) or 43, so a block of 64 takes draws of 43 and 21 rows
+    assert max(1, ensembles._DRAW_MAX // (B * N)) == rows_per_draw
+    test_block_fill_matches_row_fill(N, B, per_diagonal)
+
+
+class _CountingRng:
+    """A Generator whose `random` records the size of every call."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = np.random.default_rng(seed), []
+
+    def random(self, size):
+        self.sizes.append(int(np.prod(size)))
+        return self.rng.random(size)
+
+
+def test_spin_fill_draws_a_block_per_call():
+    # N = 300, one matrix: one call per block of 64 rows
+    rng = _CountingRng(7)
+    ensembles._spin_fill(300, np.full((1, 1), 0.3), rng)
+    assert len(rng.sizes) <= 5
+    assert sum(rng.sizes) == 300 * 301 // 2
+
+
+def test_spin_fill_draw_size_is_capped():
+    # 10^5 matrices at N = 6 (the oracle's batches): B * N exceeds
+    # _DRAW_MAX, so each call draws one row of at most B * N doubles
+    B, N = 10**5, 6
+    rng = _CountingRng(7)
+    ensembles._spin_fill(N, np.full((B, 1), 0.3), rng)
+    assert max(rng.sizes) <= max(B * N, ensembles._DRAW_MAX)
+    assert sum(rng.sizes) == B * N * (N + 1) // 2
+
+
+def test_spin_fill_holds_one_draw_at_a_time():
+    # at N = 6, B = 10^5 each draw is one row of 4.8 MB; the next is made
+    # after the last is freed, so the peak stays below the int8 stack and
+    # 1.5 rows (the rest: the means p and the mirror's copy)
+    B, N = 10**5, 6
+    ts = np.full((B, 1), 0.3)
+    tracemalloc.start()
+    try:
+        ensembles._spin_fill(N, ts, np.random.default_rng(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= B * N * N + 1.5 * 8 * B * N
+
+
+@pytest.mark.parametrize("kind", ["full_cw", "diagonal_cw"])
+def test_threads_do_not_change_draws(kind):
+    # replicas sampled by a 2-worker pool at once give the bytes of a
+    # sequential loop
+    cfgs = [_cfg(kind, 200, seed=5, replica_index=r) for r in range(4)]
+    alone = [sample_matrix(c).entries.tobytes() for c in cfgs]
+    with ThreadPoolExecutor(2) as pool:
+        pooled = [X.entries.tobytes() for X in pool.map(sample_matrix, cfgs)]
+    assert pooled == alone
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
