@@ -76,8 +76,11 @@ class EnsembleConfig:
             if self.potential is None and self.beta is None:
                 raise ConfigError(
                     "generalized kind requires a potential (or beta for F_beta)")
+        # generalized reads beta only for F_beta, when no potential is given
         for key, unread in (("alpha", self.kind != "generalized"),
-                            ("beta", self.kind == "iid")):
+                            ("potential", self.kind != "generalized"),
+                            ("beta", self.kind == "iid"
+                             or self.potential is not None)):
             if unread and getattr(self, key) is not None:
                 raise ConfigError(f"kind {self.kind} does not read {key}")
         if self.replica_index < 0:

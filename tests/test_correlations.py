@@ -140,8 +140,7 @@ def test_approx_uncorrelated(kind, beta, alpha, holds):
 def test_approx_uncorrelated_sextic(alpha, holds):
     # artanh(t)^6 = y^6 has a minimum of order nu = 6 at 0, so the bound
     # holds from alpha = nu/2 = 3
-    sextic = Potential(fn=lambda t: np.arctanh(np.asarray(t, dtype=float))
-                       ** 6, label="artanh6")
+    sextic = Potential(lambda y, y0: y**6 - y0**6, label="artanh6")
     cfg = EnsembleConfig(kind="generalized", N=64, alpha=alpha,
                          potential=sextic)
     assert find_minimum(sextic).nu == 6

@@ -98,8 +98,14 @@ MINIMUM_PINS = [
 
 def _artanh_power(k):
     """artanh(t)^k = y^k: its minimum at 0 has order k and P = 1."""
-    return Potential(fn=lambda t: np.arctanh(np.asarray(t, dtype=float)) ** k,
-                     label=f"artanh{k}")
+    return Potential(lambda y, y0: y**k - y0**k, label=f"artanh{k}")
+
+
+def _bump(y, y0):
+    """t^2 (1 - t^2) = tanh^2 y sech^2 y: finite at the endpoints."""
+    def g(y):
+        return np.tanh(y) ** 2 / np.cosh(y) ** 2
+    return g(y) - g(y0)
 
 
 class _FixedUniforms:
@@ -112,27 +118,30 @@ class _FixedUniforms:
         return self.u
 
 
-def _zero_potential():
-    return Potential(fn=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-                     label="zero")
-
-
 # ---------------------------------------------------------------------------
 # potentials
 # ---------------------------------------------------------------------------
 
+def _F(p, t):
+    """F(t) = G(artanh t) - G(0) from the y-form, as F(0) = 0."""
+    return float(p.fn_y(np.asarray(math.atanh(t)), 0.0))
+
+
 class TestCurieWeissPotential:
     def test_value_pins(self):
-        assert float(curie_weiss_potential(2.0)(0.5)) == pytest.approx(
+        assert _F(curie_weiss_potential(2.0), 0.5) == pytest.approx(
             F_2_AT_HALF, abs=1e-14)
-        assert float(curie_weiss_potential(0.5)(0.3)) == pytest.approx(
+        assert _F(curie_weiss_potential(0.5), 0.3) == pytest.approx(
             F_HALF_AT_03, abs=1e-14)
 
-    def test_value_matches_independent_formula(self):
-        # artanh(0.5) = ln(3)/2
-        expected = (math.log(3.0) / 2.0) ** 2 / 2.0 + math.log(0.75)
-        assert float(curie_weiss_potential(2.0)(0.5)) == pytest.approx(
-            expected, abs=1e-14)
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 15.0])
+    @pytest.mark.parametrize("t", [0.1, 0.35, 0.7, 0.95, 1.0 - 1e-6])
+    def test_value_matches_independent_formula(self, t, beta):
+        # the cancellation-free y-form against the t-form
+        # artanh(t)^2/beta + log1p(-t^2)
+        expected = math.atanh(t) ** 2 / beta + math.log1p(-t * t)
+        assert _F(curie_weiss_potential(beta), t) == pytest.approx(
+            expected, rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("beta", [0.0, -1.0])
     def test_nonpositive_beta_rejected(self, beta):
@@ -141,21 +150,24 @@ class TestCurieWeissPotential:
 
 
 class TestPotentialType:
-    def test_even_flag_enforced(self):
-        with pytest.raises(DomainError):
-            Potential(fn=lambda t: np.asarray(t, dtype=float) ** 3
-                      + np.asarray(t, dtype=float))
-
     def test_non_finite_rejected(self):
-        # even, so only the finiteness probe at |t| = 1 - 1e-6 can reject it
+        # artanh((1 + 2e-6) t)^2 is finite below |t| = 1 - 2e-6 only, so the
+        # finiteness probe at t = 1 - 1e-6 rejects it
+        def fn_y(y, y0):
+            def g(y):
+                return np.arctanh(np.tanh(y) * (1 + 2e-6)) ** 2
+            return g(y) - g(y0)
         with pytest.raises(DomainError, match="not finite"), \
                 np.errstate(invalid="ignore"):
-            Potential(fn=lambda t: np.arctanh(np.abs(t) * (1 + 2e-6)) ** 2)
+            Potential(fn_y)
 
-    def test_disagreeing_y_form_rejected(self):
-        with pytest.raises(DomainError, match="disagrees"):
-            Potential(fn=lambda t: np.asarray(t, dtype=float) ** 2,
-                      fn_y=lambda y, y0: np.tanh(y) ** 4 - np.tanh(y0) ** 4)
+    def test_even_by_construction(self):
+        # measures and the classifier read G at |y|, so even a y-form that
+        # is odd in y states an even F
+        p = Potential(lambda y, y0: y**3 - y0**3, label="cubic")
+        y = np.array([0.1, 0.7, 3.0])
+        assert np.array_equal(definetti._excess(p, -y, 0.0),
+                              definetti._excess(p, y, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +225,8 @@ class TestNormalize:
 
     def test_non_integrable_density_rejected(self):
         # finite at the endpoints, so 1/(1-t^2) wins and the mass diverges
-        bump = Potential(
-            fn=lambda t: np.asarray(t, dtype=float) ** 2
-            * (1.0 - np.asarray(t, dtype=float) ** 2),
-            label="bump")
         with pytest.raises(IntegrabilityError):
-            DeFinettiMeasure(bump, 1e4)
+            DeFinettiMeasure(Potential(_bump, label="bump"), 1e4)
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +350,10 @@ class TestFindMinimum:
         for beta in (0.5, 2.0):
             p = curie_weiss_potential(beta)
             exp = find_minimum(p)
-            assert exp.F_at_a == pytest.approx(float(p(exp.a)), abs=1e-14)
+            assert exp.F_at_a == pytest.approx(_F(p, exp.a), abs=1e-14)
 
     def test_boundary_minimum_rejected(self):
-        downhill = Potential(
-            fn=lambda t: -np.arctanh(np.asarray(t, dtype=float)) ** 2,
-            label="downhill")
+        downhill = Potential(lambda y, y0: y0**2 - y**2, label="downhill")
         with pytest.raises(ClassificationError):
             find_minimum(downhill)
 
@@ -495,11 +501,8 @@ def test_scale_must_be_positive_and_finite(scale):
 
 
 def test_integrability_error_names_beta_and_scale():
-    bump = Potential(
-        fn=lambda t: np.asarray(t, dtype=float) ** 2
-        * (1.0 - np.asarray(t, dtype=float) ** 2), label="bump")
     with pytest.raises(IntegrabilityError, match=r"bump.*scale=1e\+06"):
-        DeFinettiMeasure(bump, 1e6)
+        DeFinettiMeasure(Potential(_bump, label="bump"), 1e6)
 
 
 def test_coarse_cdf_table_raises(monkeypatch):

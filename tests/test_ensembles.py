@@ -16,6 +16,7 @@ from cwrmt import (
     DeFinettiMeasure,
     EnsembleConfig,
     PointMass,
+    Potential,
     curie_weiss_potential,
     mixing_measure,
     sample_matrix,
@@ -96,6 +97,16 @@ def test_config_validation():
         EnsembleConfig(kind="iid", N=4, alpha=2.0)
     with pytest.raises(ConfigError, match="kind iid does not read beta"):
         EnsembleConfig(kind="iid", N=4, beta=0.5)
+    sextic = Potential(lambda y, y0: y**6 - y0**6, label="y6")
+    for kind, beta in (("full_cw", 0.5), ("diagonal_cw", 0.5), ("iid", None)):
+        with pytest.raises(ConfigError,
+                           match=f"kind {kind} does not read potential"):
+            EnsembleConfig(kind=kind, N=4, beta=beta, potential=sextic)
+    # beta only names F_beta, so a given potential leaves it unread
+    with pytest.raises(ConfigError,
+                       match="kind generalized does not read beta"):
+        EnsembleConfig(kind="generalized", N=4, alpha=2.0, beta=0.5,
+                       potential=sextic)
 
 
 # ---------------------------------------------------------------------------
