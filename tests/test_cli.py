@@ -1,6 +1,7 @@
 """Experiment runner: config parsing, task dispatch, determinism of the
 emitted CSVs, and exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -151,6 +152,15 @@ def test_graphcheck_task(tmp_path):
     assert report["result"]["violations"] == []
     assert report["result"]["classes_checked"] == 1 + 2 + 5 + 15 + 52 + 203
     assert (tmp_path / "classes.csv").exists()
+
+
+def test_classes_csv_bytes_pinned(tmp_path):
+    # k = 10 is the only walk length <= 10 with two-digit fields (label 10,
+    # rho = 10, sigma_simple = 10); csv.writer ends every line with CRLF
+    run(_spec(tmp_path, task="graphcheck", ensemble={}, k_max=10))
+    data = (tmp_path / "classes.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "7f1b7f0c9558f90e9f0e93c079708fa1d53ad83dc9de3ca62c9be96fbcad4b16")
 
 
 def test_laplace_task(tmp_path):
