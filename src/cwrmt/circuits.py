@@ -143,18 +143,13 @@ def class_table(k: int) -> ClassTable:
     return ClassTable(**arrays)
 
 
-def _class_rows(k: int) -> Iterator[tuple]:
-    """(canonical, rho, sigma_simple, sigma_simple_proper, odd_edge_count)
-    of each class of the table, as Python values."""
-    t = class_table(k)
-    return zip(t.canonical.tolist(), t.rho.tolist(), t.sigma_simple.tolist(),
-               t.sigma_simple_proper.tolist(), t.odd_edge_count.tolist())
-
-
 def enumerate_classes(k: int) -> list[CircuitClass]:
     """One canonical representative per relabeling class of length-k walks,
     read from the class table."""
-    return [CircuitClass(tuple(c), *cols) for c, *cols in _class_rows(k)]
+    t = class_table(k)
+    return [CircuitClass(tuple(c), *cols) for c, *cols in zip(
+        t.canonical.tolist(), t.rho.tolist(), t.sigma_simple.tolist(),
+        t.sigma_simple_proper.tolist(), t.odd_edge_count.tolist())]
 
 
 def exact_trace_moment(m, N: int, k: int, gamma: float) -> float:
@@ -210,9 +205,25 @@ def verify_simple_edge_bound(k_max: int) -> dict:
             "violations": violations}
 
 
-def classes_csv_rows(k: int) -> Iterator[tuple]:
-    """(k, canonical, rho, sigma_simple, sigma_simple_proper, odd_edge_count)
-    rows for the class-table CSV."""
-    labels = [str(c) for c in range(k + 1)]
-    for c, *cols in _class_rows(k):
-        yield (k, "-".join([labels[v] for v in c]), *cols)
+def classes_csv_chunks(k: int) -> Iterator[bytes]:
+    """The classes of walk length k as CSV rows (k, canonical labels joined
+    by '-', rho, sigma_simple, sigma_simple_proper, odd_edge_count) with
+    csv.writer's CRLF line ends, in chunks of at most _CHUNK_ROWS rows."""
+    t = class_table(k)
+    # every value is 0..K_MAX: its NUL-padded decimal digits, then its
+    # separator; the NULs are dropped once a chunk is laid out
+    digits = np.array([b"%d" % v for v in range(K_MAX + 1)], dtype="S2")
+    digits = digits.view(np.uint8).reshape(-1, 2)
+    seps = np.frombuffer(b"," + b"-" * (k - 1) + b",,,,\r", dtype=np.uint8)
+    for i in range(0, len(t.rho), _CHUNK_ROWS):
+        part = slice(i, i + _CHUNK_ROWS)
+        vals = np.column_stack([
+            np.full(len(t.rho[part]), k, dtype=np.int8), t.canonical[part],
+            t.rho[part], t.sigma_simple[part], t.sigma_simple_proper[part],
+            t.odd_edge_count[part]])
+        cells = np.empty(vals.shape + (3,), dtype=np.uint8)
+        cells[..., :2] = digits[vals]
+        cells[..., 2] = seps
+        lines = np.column_stack([cells.reshape(len(vals), -1),
+                                 np.full(len(vals), ord("\n"), np.uint8)])
+        yield lines.tobytes().replace(b"\0", b"")

@@ -14,7 +14,6 @@ import contextlib
 import csv
 import ctypes
 import functools
-import itertools
 import json
 import math
 import os
@@ -439,11 +438,11 @@ def _task_oracle(spec: ExperimentSpec, out: Path) -> dict:
 
 def _task_graphcheck(spec: ExperimentSpec, out: Path) -> dict:
     report = circuits.verify_simple_edge_bound(spec.k_max)
-    rows = itertools.chain.from_iterable(
-        circuits.classes_csv_rows(k) for k in range(1, spec.k_max + 1))
-    _write_csv(out / "classes.csv",
-               ["k", "canonical", "rho", "sigma_simple",
-                "sigma_simple_proper", "odd_edge_count"], rows)
+    with open(out / "classes.csv", "wb") as fh:
+        fh.write(b"k,canonical,rho,sigma_simple,sigma_simple_proper,"
+                 b"odd_edge_count\r\n")
+        for k in range(1, spec.k_max + 1):
+            fh.writelines(circuits.classes_csv_chunks(k))
     return {
         "classes_checked": report["classes_checked"],
         "violations": report["violations"],

@@ -4,7 +4,9 @@ exact trace-moment class sum, and the simple-proper-edge bound.
 `circuit_stats` (a per-walk loop) and `doubled_tree_count` (a closed form)
 below are oracles independent of the vectorised class table they check."""
 
+import csv
 import dataclasses
+import io
 import itertools
 import math
 from collections import Counter
@@ -28,7 +30,7 @@ from cwrmt import (
     verify_simple_edge_bound,
 )
 from cwrmt import circuits
-from cwrmt.circuits import class_table, classes_csv_rows, falling_factorial
+from cwrmt.circuits import class_table, classes_csv_chunks, falling_factorial
 from cwrmt.errors import DomainError, NumericError, ResourceError
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570,
@@ -197,11 +199,23 @@ def test_enumeration_guards():
         enumerate_classes(13)
 
 
-def test_csv_rows_shape():
-    rows = list(classes_csv_rows(3))
-    assert len(rows) == BELL[3]
-    assert rows[0][0] == 3
-    assert all(len(r) == 6 for r in rows)
+@pytest.mark.parametrize("k", range(1, 11))
+def test_csv_chunks_match_csv_writer(k, monkeypatch):
+    # the oracle: csv.writer over rows built one class at a time from the
+    # table's columns; 7-row chunks split inside every k with Bell(k) > 7
+    t = class_table(k)
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    for c, *cols in zip(t.canonical.tolist(), t.rho.tolist(),
+                        t.sigma_simple.tolist(),
+                        t.sigma_simple_proper.tolist(),
+                        t.odd_edge_count.tolist()):
+        w.writerow([k, "-".join(str(v) for v in c), *cols])
+    monkeypatch.setattr(circuits, "_CHUNK_ROWS", 7)
+    chunks = list(classes_csv_chunks(k))
+    assert b"".join(chunks) == buf.getvalue().encode()
+    assert max(chunk.count(b"\r\n") for chunk in chunks) <= 7
+    assert len(chunks) == -(-BELL[k] // 7)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from cwrmt.cli import (
     main,
     run,
 )
-from cwrmt import cli, ensembles, spectral
+from cwrmt import circuits, cli, ensembles, spectral
 from cwrmt.errors import ConfigError
 
 
@@ -161,6 +162,21 @@ def test_classes_csv_bytes_pinned(tmp_path):
     data = (tmp_path / "classes.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == (
         "7f1b7f0c9558f90e9f0e93c079708fa1d53ad83dc9de3ca62c9be96fbcad4b16")
+
+
+def test_graphcheck_memory_is_bounded(tmp_path):
+    # classes.csv is written from the class tables a chunk at a time; one
+    # Python row per class peaked near 120 MB at k_max = 11
+    for k in range(1, 12):
+        circuits.class_table(k)  # build the cached tables outside the window
+    spec = _spec(tmp_path, task="graphcheck", ensemble={}, k_max=11)
+    tracemalloc.start()
+    try:
+        cli._task_graphcheck(spec, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_laplace_task(tmp_path):
