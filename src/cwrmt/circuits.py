@@ -126,7 +126,7 @@ def class_table(k: int) -> ClassTable:
     simple, simple_proper, odd, k_proper = (
         np.concatenate(col).astype(np.int8) for col in zip(*blocks))
     rho = canonical.max(axis=1)
-    bad = np.flatnonzero(2 * rho.astype(np.intp) - simple > k + 2)
+    bad = np.flatnonzero(2 * rho - simple > k + 2)
     if bad.size:
         i = bad[0]
         raise NumericError(
@@ -188,7 +188,7 @@ def verify_simple_edge_bound(k_max: int) -> dict:
     violations = []
     for k in range(1, k_max + 1):
         table = class_table(k)
-        rho = table.rho.astype(np.intp)
+        rho = table.rho
         # the largest t the hypothesis admits is the hardest for the bound
         t_top = (2 * rho - table.k_proper - 1) // 2
         sp = table.sigma_simple_proper

@@ -248,26 +248,35 @@ def _write_csv(path: Path, header, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        w.writerows(rows)
+
+
+def _mc_agrees(tol: dict, mc: float, se: float, exact: float) -> bool:
+    """Whether a Monte Carlo estimate with standard error se matches its
+    exact value, within mc_sigmas errors and the rounding allowance."""
+    return (abs(mc - exact)
+            <= tol["mc_sigmas"] * se + _ORACLE_ROUNDING * abs(exact))
 
 
 # ---------------------------------------------------------------------------
 # tasks
 # ---------------------------------------------------------------------------
 
-def _replica_summaries(spec: ExperimentSpec) -> list:
-    """Spectral summary of X/sqrt(N) for every replica, in replica order."""
+def _replicas(spec: ExperimentSpec, read, N: int | None = None) -> list:
+    """(t, read(X/sqrt(N))) of every replica, in replica order; t is the
+    replica's latent mean where that is one number, else None."""
     def one(replica):
-        X = ensembles.sample_matrix(spec.ensemble_config(replica=replica))
-        return spectral.summarize(ensembles.scale(X, 0.5), k_max=spec.k_max)
+        X = ensembles.sample_matrix(spec.ensemble_config(N=N, replica=replica))
+        t = X.latent_t if np.ndim(X.latent_t) == 0 else None
+        return t, read(ensembles.scale(X, 0.5))
 
     return _parallel_map(one, list(range(spec.replicas)))
 
 
 def _task_esd(spec: ExperimentSpec, out: Path) -> dict:
     tol = spec.tolerances
-    summaries = _replica_summaries(spec)
+    summaries = [s for _, s in _replicas(spec, functools.partial(
+        spectral.summarize, k_max=spec.k_max))]
     eig_rows = [(r, i, float(lam))
                 for r, s in enumerate(summaries)
                 for i, lam in enumerate(s.eigenvalues)]
@@ -303,7 +312,8 @@ def _task_esd(spec: ExperimentSpec, out: Path) -> dict:
 
 def _task_moments(spec: ExperimentSpec, out: Path) -> dict:
     tol = spec.tolerances
-    summaries = _replica_summaries(spec)
+    summaries = [s for _, s in _replicas(spec, functools.partial(
+        spectral.summarize, k_max=spec.k_max))]
     moments = np.array([s.moments for s in summaries])  # (R, k_max)
     means = moments.mean(axis=0)
     variances = moments.var(axis=0, ddof=1)
@@ -330,15 +340,9 @@ def _task_norm(spec: ExperimentSpec, out: Path) -> dict:
     rows = []
     per_N = {}
     for N in grid:
-        def one(replica, N=N):
-            cfg = spec.ensemble_config(N=N, replica=replica)
-            X = ensembles.sample_matrix(cfg)
-            a_norm, bound = spectral.norm(ensembles.scale(X, 0.5))
-            latent = X.latent_t if np.ndim(X.latent_t) == 0 else None
-            return a_norm, a_norm / math.sqrt(N), latent, bound
-
-        res = _parallel_map(one, list(range(spec.replicas)))
-        a_norms, b_norms, latents, bounds = zip(*res)
+        latents, reads = zip(*_replicas(spec, spectral.norm, N))
+        a_norms, bounds = zip(*reads)
+        b_norms = [a / math.sqrt(N) for a in a_norms]
         per_N[N] = {
             "a_norm_mean": float(np.mean(a_norms)),
             "a_norm_stderr": float(np.std(a_norms, ddof=1)
@@ -348,7 +352,8 @@ def _task_norm(spec: ExperimentSpec, out: Path) -> dict:
             "latents": list(latents),
             "norm_bound": max(bounds),  # the worst replica's
         }
-        rows += [(N, r_i, a, b) for r_i, (a, b, *_) in enumerate(res)]
+        rows += [(N, r, a, b)
+                 for r, (a, b) in enumerate(zip(a_norms, b_norms))]
     _write_csv(out / "norms.csv", ["N", "replica", "a_norm", "b_norm"], rows)
     checks = {}
     if beta is not None and beta > 1 and spec.ensemble.get("kind") == "full_cw":
@@ -407,8 +412,7 @@ def _task_correlations(spec: ExperimentSpec, out: Path) -> dict:
         < tol["laplace_ratio"] * 5
         for K, _, exact, asym in at_largest if asym != 0}
     checks.update({
-        f"mc_matches_exact_K{K}": abs(mc[K][0] - exact)
-        <= tol["mc_sigmas"] * mc[K][1] + _ORACLE_ROUNDING * abs(exact)
+        f"mc_matches_exact_K{K}": _mc_agrees(tol, *mc[K], exact)
         for K, exact in exact_at_N.items()})
     return {"reports": reports, "exact_at_N": exact_at_N,
             "approx_uncorrelated": correlations.approx_uncorrelated(mc_cfg),
@@ -428,9 +432,7 @@ def _task_oracle(spec: ExperimentSpec, out: Path) -> dict:
             cfg, k, spec.gamma, spec.replicas)
         z = abs(exact - mc) / se if se > 0 else 0.0
         rows.append((N, k, exact, mc, se, z))
-        checks[f"cell_N{N}_k{k}"] = (
-            abs(exact - mc)
-            <= tol["mc_sigmas"] * se + _ORACLE_ROUNDING * abs(exact))
+        checks[f"cell_N{N}_k{k}"] = _mc_agrees(tol, mc, se, exact)
     _write_csv(out / "oracle.csv",
                ["N", "k", "exact", "mc_estimate", "mc_stderr", "z"], rows)
     return {"cells": rows, "checks": checks}
@@ -500,18 +502,8 @@ def run(spec: ExperimentSpec) -> dict:
         "env": env,
     }
     with open(out / "summary.json", "w") as fh:
-        json.dump(_jsonable(report), fh, indent=2)
+        json.dump(report, fh, indent=2, default=lambda v: v.item())
     return report
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
 
 
 # ---------------------------------------------------------------------------

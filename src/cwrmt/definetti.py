@@ -144,14 +144,12 @@ class LaplaceExpansion:
     """Local data of the minimum of a potential on [0, 1).
 
     Near the minimum a, F(t) - F(a) ~ P (t - a)^nu for an even order nu.
-    Q describes the 1/(1-t^2) density factor at the minimum.  F_at_a is
-    F(a) under the normalisation F(0) = 0.
+    F_at_a is F(a) under the normalisation F(0) = 0.
     """
 
     a: float
     nu: int
     P: float
-    Q: float
     F_at_a: float
 
     def __post_init__(self):
@@ -209,7 +207,6 @@ def _minimum(p: Potential) -> tuple[float, LaplaceExpansion]:
             f"order-{nu} coefficient negative at argmin for {p.label!r}")
     P = coef * math.cosh(y) ** (2 * nu)
     return y, LaplaceExpansion(a=math.tanh(y), nu=nu, P=P,
-                               Q=math.cosh(y) ** 2,
                                F_at_a=float(_excess(p, y, 0.0)))
 
 
@@ -328,7 +325,8 @@ class DeFinettiMeasure:
         """Breaks at the mode +- j widths and at the tail cutoffs, where the
         integrand has dropped below e^-45 (inside, that may be y = 0)."""
         e, y0 = self.minimum, self._y0
-        width = e.Q * (2.0 / (self.scale * e.P)) ** (1.0 / e.nu)
+        width = (math.cosh(y0) ** 2
+                 * (2.0 / (self.scale * e.P)) ** (1.0 / e.nu))
         steps = width * 2.0 ** np.arange(
             max(math.log2(_Y_FAR / width), 0.0) + 2.0)
         with np.errstate(divide="ignore"):

@@ -9,6 +9,7 @@ import dataclasses
 import io
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -439,6 +440,20 @@ def test_simple_edge_bound_reports_each_violated_t(monkeypatch):
                 t += 1
     assert expected
     assert verify_simple_edge_bound(6)["violations"] == expected
+
+
+def test_simple_edge_bound_memory_is_bounded():
+    # the check reads the int8 table columns in place; widening rho and t_top
+    # to intp for every class peaked near 17 MB at k = 11
+    for k in range(1, 12):
+        class_table(k)  # build the cached tables outside the window
+    tracemalloc.start()
+    try:
+        verify_simple_edge_bound(11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 @pytest.mark.parametrize("k_max", [0, -1])

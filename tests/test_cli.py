@@ -85,6 +85,13 @@ def test_esd_task_outputs(tmp_path):
     assert summary["result"]["checks"]["m2_exact"]
 
 
+def test_summary_writes_numpy_scalars_as_json_values(tmp_path):
+    report = run(_spec(tmp_path, replicas=1, k_max=4))
+    assert isinstance(report["result"]["checks"]["m2_exact"], np.bool_)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["result"]["checks"]["m2_exact"] is True
+
+
 def test_moments_task(tmp_path):
     spec = _spec(tmp_path, task="moments",
                  ensemble={"kind": "full_cw", "N": 150, "beta": 0.5},
@@ -125,6 +132,20 @@ def test_main_norm_duplicate_grid_entry_runs_once(tmp_path):
     assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
     rows = (tmp_path / "norms.csv").read_text().strip().split("\n")
     assert len(rows) == 1 + 4
+
+
+@pytest.mark.parametrize("kind", ["full_cw", "diagonal_cw"])
+def test_norm_summary_records_each_replicas_t(tmp_path, kind):
+    # t is the replica's one shared latent mean; diagonal_cw draws one per
+    # diagonal, so it records none
+    spec = _spec(tmp_path, task="norm", ensemble={"kind": kind, "beta": 1.5},
+                 N_grid=[32])
+    run(spec)
+    result = json.loads((tmp_path / "summary.json").read_text())["result"]
+    t = [ensembles.sample_matrix(spec.ensemble_config(N=32, replica=r))
+         .latent_t for r in range(spec.replicas)]
+    assert result["per_N"]["32"]["latents"] == (
+        t if kind == "full_cw" else [None] * spec.replicas)
 
 
 def test_oracle_task(tmp_path):
@@ -224,6 +245,12 @@ def test_laplace_csv_cells_are_floats(tmp_path):
     for row in rows:
         for cell in row.split(","):
             float(cell)
+
+
+def test_csv_writes_numpy_floats_as_numbers(tmp_path):
+    # numpy 2's repr of a float64 scalar is "np.float64(0.1)"
+    cli._write_csv(tmp_path / "t.csv", ["x", "y"], [(np.float64(0.1), 0.1)])
+    assert (tmp_path / "t.csv").read_bytes() == b"x,y\r\n0.1,0.1\r\n"
 
 
 @pytest.mark.parametrize("ensemble", [
@@ -473,6 +500,7 @@ _VALID = {"task": "esd", "ensemble": {"kind": "iid", "N": 20}}
     ({**_VALID, "task": ["esd"]}, "unknown task ['esd']"),
     ({**_VALID, "output_dir": 5}, "output_dir must be a string, got 5"),
     ({**_VALID, "output_dir": None}, "output_dir must be a string, got None"),
+    ({**_VALID, "tolerances": [1]}, "'tolerances' must be a mapping"),
 ])
 def test_main_malformed_config_shape(tmp_path, capsys, config, named):
     cfg_path = tmp_path / "spec.json"
@@ -504,6 +532,9 @@ def test_main_numeric_error(tmp_path, capsys):
     # UnsupportedEnsembleError: iid has no mixing measure to tabulate
     ["--task", "laplace", "--ensemble", "iid", "--n", "4"],
     ["--task", "correlations", "--ensemble", "iid", "--n", "4"],
+    # DomainError: generalized needs beta for its potential
+    ["--task", "esd", "--ensemble", "generalized", "--alpha", "1", "--n",
+     "10"],
 ])
 def test_main_domain_errors_are_config_errors(tmp_path, capsys, argv):
     code = main(["run", *argv, "--out", str(tmp_path)])
@@ -571,14 +602,21 @@ def test_main_bad_thread_cap(tmp_path, capsys, monkeypatch, cap):
                                       {"kind": "iid"}])
 def test_main_oracle_exact_cell_passes(tmp_path, capsys, ensemble):
     # every +-1 matrix has tr X^2 = N^2, so a k=2 cell differs from the
-    # exact value by rounding only, with a stderr of exactly 0
-    cfg_path = tmp_path / "spec.json"
-    cfg_path.write_text(json.dumps({
-        "task": "oracle", "ensemble": ensemble, "cells": [[6, 2]],
-        "replicas": 200, "seed": 3, "output_dir": str(tmp_path)}))
-    assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
-    row = (tmp_path / "oracle.csv").read_text().split("\n")[1].split(",")
-    assert float(row[4]) == 0.0
+    # exact value by rounding only, with a stderr of exactly 0; at
+    # gamma = 0.25 the cells N = 2 and 7 are one ulp off, which only the
+    # verdict's rounding allowance admits
+    for gamma, cells in ((0.5, [[6, 2]]), (0.25, [[2, 2], [7, 2]])):
+        cfg_path = tmp_path / "spec.json"
+        cfg_path.write_text(json.dumps({
+            "task": "oracle", "ensemble": ensemble, "cells": cells,
+            "gamma": gamma, "replicas": 200, "seed": 3,
+            "output_dir": str(tmp_path)}))
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_OK, gamma
+        rows = [line.split(",") for line in
+                (tmp_path / "oracle.csv").read_text().split("\n")[1:-1]]
+        assert [float(row[4]) for row in rows] == [0.0] * len(cells)
+        if gamma == 0.25:
+            assert all(float(row[2]) != float(row[3]) for row in rows)
 
 
 @pytest.mark.parametrize("task,field,value,named", [
@@ -595,6 +633,7 @@ def test_main_oracle_exact_cell_passes(tmp_path, capsys, ensemble):
     ("moments", "k_max", 62, "k_max must be <= 61, got 62"),
     ("esd", "k_max", 62, "k_max must be <= 61, got 62"),
     ("oracle", "gamma", "x", "gamma must be a number, got 'x'"),
+    ("oracle", "gamma", math.nan, "gamma must be finite, got nan"),
 ])
 def test_main_bad_scalar_field(tmp_path, capsys, task, field, value, named):
     ensemble = ({"kind": "full_cw", "beta": 0.5} if task == "oracle"
@@ -628,6 +667,8 @@ def test_main_bad_scalar_field(tmp_path, capsys, task, field, value, named):
     ("correlations", "K_list", [11],
      "position (21, 22) lies outside the matrix: 1 <= i, j <= N=20"),
     ("esd", "ensemble.betta", 0.5, "bad ensemble config"),
+    ("laplace", "ensemble.beta", math.inf,
+     "ensemble.beta must be finite, got inf"),
 ])
 def test_main_bad_config_field(tmp_path, capsys, task, key, value, named):
     # every field of the spec, the ensemble mapping and the tolerances table

@@ -391,15 +391,14 @@ class TestFindMinimum:
 
     def test_expansion_invariants(self):
         with pytest.raises(ClassificationError):
-            LaplaceExpansion(a=0.0, nu=3, P=1.0, Q=1.0, F_at_a=0.0)
+            LaplaceExpansion(a=0.0, nu=3, P=1.0, F_at_a=0.0)
         with pytest.raises(ClassificationError):
-            LaplaceExpansion(a=0.0, nu=14, P=1.0, Q=1.0, F_at_a=0.0)
-        assert LaplaceExpansion(a=0.0, nu=12, P=1.0, Q=1.0, F_at_a=0.0).nu \
-            == 12
+            LaplaceExpansion(a=0.0, nu=14, P=1.0, F_at_a=0.0)
+        assert LaplaceExpansion(a=0.0, nu=12, P=1.0, F_at_a=0.0).nu == 12
         with pytest.raises(ClassificationError):
-            LaplaceExpansion(a=0.0, nu=2, P=-1.0, Q=1.0, F_at_a=0.0)
+            LaplaceExpansion(a=0.0, nu=2, P=-1.0, F_at_a=0.0)
         with pytest.raises(ClassificationError):
-            LaplaceExpansion(a=1.0, nu=2, P=1.0, Q=1.0, F_at_a=0.0)
+            LaplaceExpansion(a=1.0, nu=2, P=1.0, F_at_a=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -515,12 +514,13 @@ def test_coarse_cdf_table_raises(monkeypatch):
 
 def test_supercritical_minimum_in_y():
     # beta = 15 puts m(beta) within 2e-13 of 1; the minimum is found in y,
-    # at y* = beta m(beta), and a, Q and F(a) match their closed forms there
-    exp = find_minimum(curie_weiss_potential(15.0))
+    # at y* = beta m(beta), and y*, a and F(a) match their closed forms there
+    p = curie_weiss_potential(15.0)
+    exp = find_minimum(p)
     m = magnetization(15.0)
     assert exp.nu == 2
     assert exp.a == pytest.approx(m, abs=1e-15)
-    assert exp.Q == pytest.approx(math.cosh(15.0 * m) ** 2, rel=1e-14)
+    assert abs(definetti._minimum(p)[0] - 15 * m) <= 5e-15
     assert exp.F_at_a == pytest.approx(
         15.0 * m * m - 2.0 * math.log(math.cosh(15.0 * m)), rel=1e-14)
 
