@@ -11,7 +11,6 @@ All classes of one walk length k live in one cached integer table.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .ensembles import _cached_once
 from .errors import DomainError, NumericError, ResourceError
 
 __all__ = [
@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 K_MAX = 12  # Bell(12) = 4213597 classes; the class-table guard
-_CHUNK_ROWS = 1 << 16  # walks per block of the edge statistics
+_CHUNK_ROWS = 1 << 14  # walks per block of the edge statistics
 
 
 falling_factorial = math.perm  # N (N-1) ... (N-r+1); zero when r > N
@@ -108,13 +108,14 @@ def _edge_columns(walks: np.ndarray) -> tuple:
     offset = pos - np.maximum.accumulate(np.where(starts, pos, 0), axis=1)
     simple = ends & (offset == 0)
     proper = edges // (k + 2) != edges % (k + 2)
-    return (simple.sum(axis=1), (simple & proper).sum(axis=1),
-            (ends & (offset % 2 == 0)).sum(axis=1), proper.sum(axis=1))
+    return tuple(col.sum(axis=1, dtype=np.int8) for col in (
+        simple, simple & proper, ends & (offset % 2 == 0), proper))
 
 
-@functools.lru_cache(maxsize=None)
+@_cached_once
 def class_table(k: int) -> ClassTable:
-    """The cached class table of walk length k (1 <= k <= K_MAX).
+    """The cached class table of walk length k (1 <= k <= K_MAX), built
+    once when pool threads ask for it at the same time.
 
     Classes partition the tuples of every ambient size N, with class sizes
     N (N-1) ... (N-rho+1) summing to N^k.
@@ -123,8 +124,7 @@ def class_table(k: int) -> ClassTable:
     canonical = _restricted_growth_strings(k)
     blocks = [_edge_columns(canonical[i:i + _CHUNK_ROWS])
               for i in range(0, len(canonical), _CHUNK_ROWS)]
-    simple, simple_proper, odd, k_proper = (
-        np.concatenate(col).astype(np.int8) for col in zip(*blocks))
+    simple, simple_proper, odd, k_proper = map(np.concatenate, zip(*blocks))
     rho = canonical.max(axis=1)
     bad = np.flatnonzero(2 * rho - simple > k + 2)
     if bad.size:

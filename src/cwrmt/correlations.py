@@ -67,8 +67,9 @@ def _traces(X: np.ndarray, k: int) -> np.ndarray:
     Q = X
     for _ in range(k // 2 - 1):
         Q = Q @ X
-    P = Q @ X if k % 2 else Q
-    return np.einsum("bij,bji->b", P.astype(np.int64), Q.astype(np.int64))
+    Q_int = Q.astype(np.int64)
+    P_int = (Q @ X).astype(np.int64) if k % 2 else Q_int
+    return np.einsum("bij,bji->b", P_int, Q_int)
 
 
 def mc_trace_moment(cfg: EnsembleConfig, k: int, gamma: float,
@@ -87,7 +88,7 @@ def mc_trace_moment(cfg: EnsembleConfig, k: int, gamma: float,
     rng = seed_stream(cfg.seed, cfg.replica_index, "mc")
     traces = np.empty(replicas, dtype=np.int64)
     batch = max(1, min(replicas, int(2e7 // (cfg.N * cfg.N))))
-    block = max(1, 2**18 // cfg.N**2)  # about 2 MB per power
+    block = max(1, 2**15 // cfg.N**2)  # about 256 kB per power
     for done in range(0, replicas, batch):
         n = min(batch, replicas - done)
         # looked up at call time, so a wrapped module attribute is used

@@ -37,6 +37,7 @@ __all__ = [
 _Y_MAX = 18.5  # the minimum is searched on [0, _Y_MAX], where tanh y < 1
 _T_MAX = 1.0 - 2.0**-53  # largest double below 1: |t| beyond it rounds to 1
 _NU_MAX = 12  # the highest order of a minimum that is classified
+_T_SLICE = 2**14  # draws per slice of `sample_t`'s map from u to t
 # integrand values e^-45 below the peak carry < 1e-16 of the mass; beyond
 # the cutoff the integrand must stay that low out to y = _Y_FAR
 _LOG_TAIL, _Y_FAR = 45.0, 1e6
@@ -432,9 +433,14 @@ class DeFinettiMeasure:
 
     def sample_t(self, rng: np.random.Generator, size=None):
         """Inverse-CDF draw(s) of the latent mean t: the sign of 2u - 1 and
-        |y| from the table at |2u - 1|; |t| is kept inside (-1, 1)."""
-        u = rng.random() if size is None else rng.random(size)
-        v = 2.0 * np.asarray(u) - 1.0
-        y = _hermite(np.abs(v), self._us, self._ys, self._dydu)
-        t = np.copysign(np.minimum(np.tanh(y), _T_MAX), v)
+        |y| from the table at |2u - 1|; |t| is kept inside (-1, 1).  The u
+        are drawn in one call and mapped _T_SLICE at a time (the map is
+        elementwise), so the temporaries stay small."""
+        u = np.asarray(rng.random() if size is None else rng.random(size))
+        t = np.empty(u.shape)
+        for i in range(0, u.size, _T_SLICE):
+            v = 2.0 * u.reshape(-1)[i:i + _T_SLICE] - 1.0
+            y = _hermite(np.abs(v), self._us, self._ys, self._dydu)
+            t.reshape(-1)[i:i + _T_SLICE] = np.copysign(
+                np.minimum(np.tanh(y), _T_MAX), v)
         return float(t) if size is None else t

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -31,7 +31,7 @@ __all__ = [
 N_MAX = 4096
 
 # rows per block of `_spin_fill`, and the most doubles it draws in one call
-# (2 MB) unless one row is longer
+# (2 MB)
 _BLOCK = 64
 _DRAW_MAX = 2**18
 
@@ -124,10 +124,11 @@ def scale(X: SpinMatrix, gamma: float) -> ScaledMatrix:
 # ---------------------------------------------------------------------------
 
 def _cached_once(fn):
-    """lru_cache'd `fn` behind a lock: when replicas in the pool ask for the
+    """lru_cache'd `fn` behind a lock: when threads of the pool ask for the
     same fresh key at once, the first builds it and the others wait for it."""
     cached, lock = lru_cache(maxsize=64)(fn), threading.Lock()
 
+    @wraps(fn)
     def call(*args):
         with lock:
             return cached(*args)
@@ -188,10 +189,11 @@ def _spin_fill(N: int, ts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     (i, j) with mean ts[:, j - i] (one column: the same mean everywhere).
     Rows go in blocks of _BLOCK: each row is mirrored inside its diagonal
     block, and each block's off-diagonal strip by one transposed copy.
-    The uniforms of several rows come from one `rng.random` call (at most
-    _DRAW_MAX doubles, or one row if that is larger), split by row: the
-    same stream as one call per row, but a few long fills made without
-    the GIL, so pool threads sample in parallel."""
+    The uniforms of several rows come from one `rng.random` call of at
+    most _DRAW_MAX doubles, split by row; a row longer than that is drawn
+    in slices of the stack.  It is the same stream as one call per row,
+    but a few long fills made without the GIL, so pool threads sample in
+    parallel."""
     B = len(ts)
     p = 0.5 * (1.0 + ts)
     X = np.empty((B, N, N), dtype=np.int8)
@@ -200,15 +202,19 @@ def _spin_fill(N: int, ts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         r1 = min(r0 + _BLOCK, N)
         for d0 in range(r0, r1, step):
             rows = range(d0, min(d0 + step, r1))
-            u = rng.random(B * sum(N - i for i in rows))
-            at = 0
-            for i in rows:
-                row = X[:, i, i:]
-                np.less(u[at:at + row.size].reshape(B, N - i), p[:, :N - i],
-                        out=row)
-                at += row.size
-                X[:, i + 1:r1, i] = row[:, 1:r1 - i]
-            del u  # before the next draw: one draw's buffer alive at a time
+            # matrices per draw: all, unless one row is longer than the cap
+            span = B if step > 1 else max(1, _DRAW_MAX // (N - d0))
+            for b0 in range(0, B, span):
+                b = slice(b0, b0 + span)
+                u = rng.random(len(p[b]) * sum(N - i for i in rows))
+                at = 0
+                for i in rows:
+                    row = X[b, i, i:]
+                    np.less(u[at:at + row.size].reshape(row.shape),
+                            p[b, :N - i], out=row)
+                    at += row.size
+                    X[b, i + 1:r1, i] = row[:, 1:r1 - i]
+                del u  # before the next draw: one buffer alive at a time
         X[:, r1:, r0:r1] = X[:, r0:r1, r1:].transpose(0, 2, 1)
     X *= 2
     X -= 1  # 1 where u < p, else -1

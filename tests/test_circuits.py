@@ -9,8 +9,11 @@ import dataclasses
 import io
 import itertools
 import math
+import threading
+import time
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -30,7 +33,7 @@ from cwrmt import (
     mixing_measure,
     verify_simple_edge_bound,
 )
-from cwrmt import circuits
+from cwrmt import circuits, ensembles
 from cwrmt.circuits import class_table, classes_csv_chunks, falling_factorial
 from cwrmt.errors import DomainError, NumericError, ResourceError
 
@@ -254,6 +257,43 @@ def test_table_is_cached_and_read_only():
                 t.odd_edge_count, t.k_proper, t.counts):
         with pytest.raises(ValueError):
             arr[0] = 0
+
+
+def test_fresh_table_is_built_once_across_threads(monkeypatch):
+    # the oracle's pool runs two cells of one k at once; the second thread
+    # waits for the first one's build instead of enumerating again
+    real, calls = circuits._restricted_growth_strings, []
+
+    def slow(k):
+        calls.append(k)
+        time.sleep(0.05)  # the other thread asks meanwhile
+        return real(k)
+
+    monkeypatch.setattr(circuits, "_restricted_growth_strings", slow)
+    monkeypatch.setattr(circuits, "class_table", ensembles._cached_once(
+        circuits.class_table.__wrapped__))  # an empty cache
+    both = threading.Barrier(2)
+
+    def ask(k):
+        both.wait()
+        return circuits.class_table(k)
+
+    with ThreadPoolExecutor(2) as pool:
+        first, second = pool.map(ask, [7, 7])
+    assert calls == [7]
+    assert first is second
+
+
+def test_table_build_memory_is_bounded():
+    # the edge columns are summed into int8 a chunk at a time; int64 sums
+    # kept for every chunk peaked at 38 MB at k = 11
+    tracemalloc.start()
+    try:
+        circuits.class_table.__wrapped__(11)  # uncached
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
 
 
 # exact_trace_moment(full_cw beta=0.5 measure, N, k, 0.5) before the class

@@ -303,6 +303,36 @@ def test_byte_identical_csvs_across_runs_and_thread_counts(
     assert outs[0] == outs[1]
 
 
+def test_oracle_outputs_ignore_the_pool_size(tmp_path, monkeypatch):
+    # cell i draws from replica i's streams, so cells sampled side by side
+    # give the bytes of a one-worker run, in cell order
+    outs = []
+    for threads in "12":
+        monkeypatch.setenv("CWRMT_THREADS", threads)
+        run(_spec(tmp_path / threads, task="oracle",
+                  ensemble={"kind": "full_cw", "beta": 0.5},
+                  replicas=20_000, cells=[[6, 6], [4, 4], [5, 8], [4, 4]]))
+        summary = json.loads((tmp_path / threads / "summary.json").read_text())
+        outs.append(((tmp_path / threads / "oracle.csv").read_bytes(),
+                     json.dumps(summary["result"]["checks"])))
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_oracle_guard_in_a_later_cell(tmp_path, capsys, monkeypatch,
+                                      threads):
+    # the second cell's int64 guard stops the run at either pool size
+    monkeypatch.setenv("CWRMT_THREADS", threads)
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps({
+        "task": "oracle", "ensemble": {"kind": "full_cw", "beta": 0.5},
+        "replicas": 2000, "cells": [[4, 4], [1024, 7], [4, 6]],
+        "output_dir": str(tmp_path)}))
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_RESOURCE
+    assert capsys.readouterr().err == (
+        "resource guard: N=1024, k=7: int64 traces need N^k < 2^63\n")
+
+
 def test_norms_csv_ignores_thread_settings(tmp_path):
     # and so do esd's eigenvalues.csv and hist.csv.  OPENBLAS_NUM_THREADS is
     # read when numpy loads, so each setting runs in its own interpreter,

@@ -271,3 +271,18 @@ def test_mc_trace_moment_memory_is_blocked():
     finally:
         tracemalloc.stop()
     assert peak <= 24e6
+
+
+def test_mc_trace_moment_cell_memory():
+    # two oracle cells run at once, so one cell holds its 3.6 MB int8
+    # stack, the latent draws, one 2 MB draw of uniforms and 256 kB
+    # blocks of powers; 2 MB blocks and whole-row draws peaked at 12.8 MB
+    cfg = EnsembleConfig("full_cw", N=6, beta=0.5, seed=149)
+    mixing_measure(cfg)  # build the cached measure outside the window
+    tracemalloc.start()
+    try:
+        mc_trace_moment(cfg, 10, 0.5, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6

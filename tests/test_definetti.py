@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -317,6 +318,36 @@ class TestSampling:
         draws = m.sample_t(rng, size=10_000)
         assert np.all(np.abs(draws) < 1.0)
         assert np.mean(draws == np.nextafter(1.0, 0.0)) > 0.01
+
+    @pytest.mark.parametrize("size", [
+        None, 2**14, 2**14 + 1, 3 * 2**14 + 5, (3 * 2**14 + 5, 1),
+        (2**12 + 1, 13)])
+    def test_sliced_map_keeps_every_bit(self, size):
+        # sample_t maps u to t a slice at a time; the map is elementwise, so
+        # each draw has the bits of the one-shot formula, at every shape
+        m = DeFinettiMeasure(curie_weiss_potential(1.5), 1e4)
+        u = np.random.default_rng(5).random(size)
+        v = 2.0 * np.asarray(u) - 1.0
+        y = definetti._hermite(np.abs(v), m._us, m._ys, m._dydu)
+        want = np.copysign(np.minimum(np.tanh(y), definetti._T_MAX), v)
+        got = m.sample_t(np.random.default_rng(5), size=size)
+        if size is None:
+            assert type(got) is float
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == want.tobytes()
+
+    def test_draw_memory_is_sliced(self):
+        # 10^5 draws hold u, t and one slice's temporaries; mapping them at
+        # once peaked at 11-13 MB
+        m = DeFinettiMeasure(curie_weiss_potential(0.5), 1e4)
+        rng = np.random.default_rng(3)
+        tracemalloc.start()
+        try:
+            m.sample_t(rng, size=(10**5, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     def test_point_mass_sampling(self, rng):
         pm = PointMass(0.3)

@@ -417,12 +417,13 @@ def test_spin_fill_draws_a_block_per_call():
 
 
 def test_spin_fill_draw_size_is_capped():
-    # 10^5 matrices at N = 6 (the oracle's batches): B * N exceeds
-    # _DRAW_MAX, so each call draws one row of at most B * N doubles
+    # 10^5 matrices at N = 6 (the oracle's batches): one row across the
+    # stack, B * N doubles, exceeds _DRAW_MAX, so it is drawn in slices of
+    # the stack
     B, N = 10**5, 6
     rng = _CountingRng(7)
     ensembles._spin_fill(N, np.full((B, 1), 0.3), rng)
-    assert max(rng.sizes) <= max(B * N, ensembles._DRAW_MAX)
+    assert max(rng.sizes) <= ensembles._DRAW_MAX
     assert sum(rng.sizes) == B * N * (N + 1) // 2
 
 
