@@ -6,7 +6,8 @@ wraparound i_{k+1} = i_1.  Tuples are grouped into equivalence classes by
 first-occurrence relabeling; weighting each class by a falling factorial of N
 turns class enumeration into an exact expectation of (1/N) tr (X/N^gamma)^k
 for any ensemble whose entries are conditionally iid spins given one latent t.
-All classes of one walk length k live in one cached integer table.
+The classes of one walk length k are streamed in blocks of canonical
+strings; only their (rho, odd) count table is cached.
 """
 
 from __future__ import annotations
@@ -23,16 +24,16 @@ from .errors import DomainError, NumericError, ResourceError
 
 __all__ = [
     "CircuitClass",
-    "ClassTable",
-    "class_table",
+    "class_counts",
     "enumerate_classes",
     "exact_trace_moment",
     "verify_simple_edge_bound",
     "falling_factorial",
 ]
 
-K_MAX = 12  # Bell(12) = 4213597 classes; the class-table guard
-_CHUNK_ROWS = 1 << 14  # walks per block of the edge statistics
+K_MAX = 12  # Bell(12) = 4213597 classes; the class-enumeration guard
+_CHUNK_ROWS = 1 << 14  # most walks per class block
+_TAIL = 6  # labels per completion table of a class block's prefix
 
 
 falling_factorial = math.perm  # N (N-1) ... (N-r+1); zero when r > N
@@ -50,45 +51,30 @@ class CircuitClass:
     odd_edge_count: int
 
 
-@dataclass(frozen=True)
-class ClassTable:
-    """Every relabeling class of length-k walks, one row per class in
-    lexicographic order of the canonical strings.  All arrays are read-only:
-    `canonical` has shape (Bell(k), k), the columns shape (Bell(k),), and
-    `counts[rho, odd]` is the number of classes with those two values."""
-
-    canonical: np.ndarray
-    rho: np.ndarray
-    sigma_simple: np.ndarray
-    sigma_simple_proper: np.ndarray
-    odd_edge_count: np.ndarray
-    k_proper: np.ndarray  # steps between distinct vertices
-    counts: np.ndarray
-
-
 def _check_walk_length(k: int, name: str = "k") -> None:
     if k < 1:
         raise DomainError(f"{name} must be >= 1, got {k}")
     if k > K_MAX:
         raise ResourceError(
-            f"{name}={k} exceeds the class-table guard ({K_MAX}; "
+            f"{name}={k} exceeds the class-enumeration guard ({K_MAX}; "
             f"Bell({K_MAX}) = 4213597 classes)")
 
 
-def _restricted_growth_strings(k: int) -> np.ndarray:
-    """All length-k sequences with c_1 = 1 and c_m <= 1 + max(previous), in
-    lexicographic order, as a (Bell(k), k) int8 array."""
-    rows = np.ones((1, 1), dtype=np.int8)
-    top = np.ones(1, dtype=np.int8)  # running maximum of each row
-    for _ in range(1, k):
-        # a prefix whose maximum is c has c + 1 children
-        fan = top.astype(np.intp) + 1
+def _growth_strings(n: int, top: int = 0) -> tuple:
+    """Continuations c_1..c_n, c_m <= 1 + the largest label so far, of a
+    prefix whose largest label is `top`, in lexicographic order, as an int8
+    array, with each row's largest label; top = 0 gives canonical strings."""
+    rows = np.empty((1, 0), dtype=np.int8)
+    tops = np.full(1, top, dtype=np.int8)
+    for _ in range(n):
+        # a row whose largest label is c has c + 1 children
+        fan = tops.astype(np.intp) + 1
         first = np.cumsum(fan) - fan
         last = (np.arange(fan.sum()) - np.repeat(first, fan) + 1).astype(
             np.int8)
         rows = np.column_stack([np.repeat(rows, fan, axis=0), last])
-        top = np.maximum(np.repeat(top, fan), last)
-    return rows
+        tops = np.maximum(np.repeat(tops, fan), last)
+    return rows, tops
 
 
 def _edge_columns(walks: np.ndarray) -> tuple:
@@ -98,58 +84,68 @@ def _edge_columns(walks: np.ndarray) -> tuple:
     a = walks.astype(np.int16)
     b = np.roll(a, -1, axis=1)
     edges = np.sort(np.minimum(a, b) * (k + 2) + np.maximum(a, b), axis=1)
+    edges = edges.T.copy()  # row m: each walk's m-th edge, a contiguous run
     starts = np.ones(edges.shape, dtype=bool)
-    starts[:, 1:] = edges[:, 1:] != edges[:, :-1]
+    starts[1:] = edges[1:] != edges[:-1]
     ends = np.ones(edges.shape, dtype=bool)
-    ends[:, :-1] = starts[:, 1:]
-    pos = np.arange(k, dtype=np.int8)
+    ends[:-1] = starts[1:]
+    pos = np.arange(k, dtype=np.int8)[:, None]
     # offset of each step within its run of equal edges; at a run's end it
     # is the edge's multiplicity minus one
-    offset = pos - np.maximum.accumulate(np.where(starts, pos, 0), axis=1)
+    offset = pos - np.maximum.accumulate(starts * pos, axis=0)
     simple = ends & (offset == 0)
     proper = edges // (k + 2) != edges % (k + 2)
-    return tuple(col.sum(axis=1, dtype=np.int8) for col in (
+    return tuple(col.sum(axis=0, dtype=np.int8) for col in (
         simple, simple & proper, ends & (offset % 2 == 0), proper))
 
 
-@_cached_once
-def class_table(k: int) -> ClassTable:
-    """The cached class table of walk length k (1 <= k <= K_MAX), built
-    once when pool threads ask for it at the same time.
-
-    Classes partition the tuples of every ambient size N, with class sizes
-    N (N-1) ... (N-rho+1) summing to N^k.
-    """
+def _class_blocks(k: int) -> Iterator[tuple]:
+    """(walks, (rho, sigma_simple, sigma_simple_proper, odd_edge_count,
+    k_proper)) of the classes of length-k walks in lexicographic order: each
+    prefix of k - _TAIL labels joined to the completions of its top label,
+    at most _CHUNK_ROWS per block, each block checked on the vertex bound."""
     _check_walk_length(k)
-    canonical = _restricted_growth_strings(k)
-    blocks = [_edge_columns(canonical[i:i + _CHUNK_ROWS])
-              for i in range(0, len(canonical), _CHUNK_ROWS)]
-    simple, simple_proper, odd, k_proper = map(np.concatenate, zip(*blocks))
-    rho = canonical.max(axis=1)
-    bad = np.flatnonzero(2 * rho - simple > k + 2)
-    if bad.size:
-        i = bad[0]
-        raise NumericError(
-            f"simple-edge bound violated by walk "
-            f"{tuple(canonical[i].tolist())}: rho={rho[i]}, "
-            f"sigma_simple={simple[i]}, k={k}")
-    counts = np.bincount(rho.astype(np.intp) * (k + 1) + odd,
-                         minlength=(k + 1) ** 2).reshape(k + 1, k + 1)
-    arrays = dict(canonical=canonical, rho=rho, sigma_simple=simple,
-                  sigma_simple_proper=simple_proper, odd_edge_count=odd,
-                  k_proper=k_proper, counts=counts)
-    for arr in arrays.values():
-        arr.flags.writeable = False
-    return ClassTable(**arrays)
+    prefixes, tops = _growth_strings(max(k - _TAIL, 0))
+    tails = {top: _growth_strings(k - prefixes.shape[1], top)
+             for top in set(tops.tolist())}
+    for prefix, top in zip(prefixes, tops.tolist()):
+        rows, row_tops = tails[top]
+        for i in range(0, len(rows), _CHUNK_ROWS):
+            tail, rho = rows[i:i + _CHUNK_ROWS], row_tops[i:i + _CHUNK_ROWS]
+            walks = np.hstack([np.tile(prefix, (len(tail), 1)), tail])
+            cols = (rho, *_edge_columns(walks))
+            j = np.argmax(2 * rho - cols[1])  # the block's worst walk
+            if 2 * rho[j] - cols[1][j] > k + 2:
+                raise NumericError(
+                    f"simple-edge bound violated by walk "
+                    f"{tuple(walks[j].tolist())}: rho={rho[j]}, "
+                    f"sigma_simple={cols[1][j]}, k={k}")
+            yield walks, cols
+
+
+@_cached_once
+def class_counts(k: int) -> np.ndarray:
+    """The cached, read-only table whose entry [rho, odd] counts the classes
+    of length-k walks (1 <= k <= K_MAX) with rho vertices and odd edges of
+    odd multiplicity, built once when pool threads ask at the same time.
+    Class sizes N (N-1) ... (N-rho+1) sum to N^k for every N."""
+    counts = np.zeros((k + 1) ** 2, dtype=np.intp)
+    for _, (rho, _, _, odd, _) in _class_blocks(k):
+        counts += np.bincount(rho.astype(np.intp) * (k + 1) + odd,
+                              minlength=len(counts))
+    counts = counts.reshape(k + 1, k + 1)
+    counts.flags.writeable = False
+    return counts
 
 
 def enumerate_classes(k: int) -> list[CircuitClass]:
     """One canonical representative per relabeling class of length-k walks,
-    read from the class table."""
-    t = class_table(k)
-    return [CircuitClass(tuple(c), *cols) for c, *cols in zip(
-        t.canonical.tolist(), t.rho.tolist(), t.sigma_simple.tolist(),
-        t.sigma_simple_proper.tolist(), t.odd_edge_count.tolist())]
+    in lexicographic order."""
+    classes = []
+    for walks, cols in _class_blocks(k):
+        classes += map(CircuitClass, map(tuple, walks.tolist()),
+                       *(col.tolist() for col in cols[:4]))
+    return classes
 
 
 def exact_trace_moment(m, N: int, k: int, gamma: float) -> float:
@@ -167,7 +163,7 @@ def exact_trace_moment(m, N: int, k: int, gamma: float) -> float:
         raise DomainError("N and k must be positive")
     if not math.isfinite(gamma):
         raise DomainError(f"gamma must be finite, got {gamma}")
-    counts = class_table(k).counts.T.tolist()  # [odd][rho]
+    counts = class_counts(k).T.tolist()  # [odd][rho]
     total = Fraction(0)
     for odd, by_rho in enumerate(counts):
         if any(by_rho):
@@ -178,52 +174,57 @@ def exact_trace_moment(m, N: int, k: int, gamma: float) -> float:
     return float(total / N ** k) * N ** (k - 1 - k * gamma)
 
 
+def _checked_blocks(k_max: int) -> tuple[dict, Iterator[tuple]]:
+    """Check k_max; then verify_simple_edge_bound's report, and an iterator
+    over (k, walks, cols) of the class blocks of every k <= k_max that adds
+    each block's classes and bound violations to the report as it goes by."""
+    _check_walk_length(k_max, "k_max")
+    report = {"k_max": k_max, "classes_checked": 0, "violations": []}
+
+    def blocks():
+        for k in range(1, k_max + 1):
+            for walks, cols in _class_blocks(k):
+                rho, _, sp, _, k_proper = cols
+                # the largest t the hypothesis admits is the hardest one
+                t_top = (2 * rho - k_proper - 1) // 2
+                flagged = np.flatnonzero((t_top >= 1) & (sp <= 2 * t_top))
+                for i in flagged.tolist():
+                    report["violations"].extend(
+                        {"k": k, "canonical": tuple(walks[i].tolist()),
+                         "t": t, "rho": int(rho[i]),
+                         "k_proper": int(k_proper[i]),
+                         "sigma_simple_proper": int(sp[i])}
+                        for t in range(1, int(t_top[i]) + 1)
+                        if sp[i] < 2 * t + 1)
+                report["classes_checked"] += len(walks)
+                yield k, walks, cols
+    return report, blocks()
+
+
 def verify_simple_edge_bound(k_max: int) -> dict:
     """Exhaustively check, over all circuit classes with k <= k_max, that a
     class whose loop-deleted graph satisfies rho > k_proper/2 + t has at
     least 2t+1 simple proper edges.  Returns a report dict; violations is
     empty when the bound holds."""
-    _check_walk_length(k_max, "k_max")
-    checked = 0
-    violations = []
-    for k in range(1, k_max + 1):
-        table = class_table(k)
-        rho = table.rho
-        # the largest t the hypothesis admits is the hardest for the bound
-        t_top = (2 * rho - table.k_proper - 1) // 2
-        sp = table.sigma_simple_proper
-        flagged = np.flatnonzero((t_top >= 1) & (sp <= 2 * t_top))
-        for i in flagged.tolist():
-            violations.extend(
-                {"k": k, "canonical": tuple(table.canonical[i].tolist()),
-                 "t": t, "rho": int(rho[i]),
-                 "k_proper": int(table.k_proper[i]),
-                 "sigma_simple_proper": int(sp[i])}
-                for t in range(1, int(t_top[i]) + 1) if sp[i] < 2 * t + 1)
-        checked += len(rho)
-    return {"k_max": k_max, "classes_checked": checked,
-            "violations": violations}
+    report, blocks = _checked_blocks(k_max)
+    for _ in blocks:
+        pass
+    return report
 
 
-def classes_csv_chunks(k: int) -> Iterator[bytes]:
-    """The classes of walk length k as CSV rows (k, canonical labels joined
-    by '-', rho, sigma_simple, sigma_simple_proper, odd_edge_count) with
-    csv.writer's CRLF line ends, in chunks of at most _CHUNK_ROWS rows."""
-    t = class_table(k)
-    # every value is 0..K_MAX: its NUL-padded decimal digits, then its
-    # separator; the NULs are dropped once a chunk is laid out
-    digits = np.array([b"%d" % v for v in range(K_MAX + 1)], dtype="S2")
-    digits = digits.view(np.uint8).reshape(-1, 2)
-    seps = np.frombuffer(b"," + b"-" * (k - 1) + b",,,,\r", dtype=np.uint8)
-    for i in range(0, len(t.rho), _CHUNK_ROWS):
-        part = slice(i, i + _CHUNK_ROWS)
-        vals = np.column_stack([
-            np.full(len(t.rho[part]), k, dtype=np.int8), t.canonical[part],
-            t.rho[part], t.sigma_simple[part], t.sigma_simple_proper[part],
-            t.odd_edge_count[part]])
-        cells = np.empty(vals.shape + (3,), dtype=np.uint8)
-        cells[..., :2] = digits[vals]
-        cells[..., 2] = seps
-        lines = np.column_stack([cells.reshape(len(vals), -1),
-                                 np.full(len(vals), ord("\n"), np.uint8)])
-        yield lines.tobytes().replace(b"\0", b"")
+def _csv_bytes(k: int, walks: np.ndarray, cols: tuple) -> bytes:
+    """One class block of walk length k as CSV rows (k, canonical labels
+    joined by '-', rho, sigma_simple, sigma_simple_proper, odd_edge_count)
+    with csv.writer's CRLF line ends."""
+    vals = np.column_stack([np.full(len(walks), k, dtype=np.int8), walks,
+                            *cols[:4]])
+    # every value is 0..K_MAX: its tens digit or a NUL, its units digit,
+    # then its separator; the NULs are dropped once the block is laid out
+    lines = np.empty((len(vals), 3 * vals.shape[1] + 1), dtype=np.uint8)
+    cells = lines[:, :-1].reshape(vals.shape + (3,))
+    tens = vals >= 10
+    cells[..., 0] = tens * np.uint8(ord("1"))
+    cells[..., 1] = vals - 10 * tens.view(np.int8) + ord("0")
+    cells[..., 2] = list(b"," + b"-" * (k - 1) + b",,,,\r")
+    lines[:, -1] = ord("\n")
+    return lines.tobytes().translate(None, b"\0")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import contextvars
 import csv
 import ctypes
 import functools
@@ -108,6 +109,9 @@ def _check_field(name: str, v, typ, lo, hi):
             raise ConfigError(f"{name} must be {what}, got {v!r}")
         for x in v:
             _check_field(f"{name} entry", x, typ[0], lo, hi)
+        if len(typ) == 2 and v[0] > v[1]:
+            raise ConfigError(f"{name} must be [lo, hi] with lo <= hi, "
+                              f"got {v!r}")
     elif type(v) not in ((int,) if typ is int else (int, float)):
         what = "an integer" if typ is int else "a number"
         raise ConfigError(f"{name} must be {what}, got {v!r}")
@@ -205,10 +209,15 @@ def _pool_size(replicas: int) -> int:
     return min(workers, cores, replicas)
 
 
+_pools = contextvars.ContextVar("pools")  # worker counts of a run's pools
+
+
 def _parallel_map(fn, args_list):
     """Run fn over args in a pool; results returned in input order so the
     aggregates are independent of thread count."""
-    with ThreadPoolExecutor(max_workers=_pool_size(len(args_list))) as pool:
+    workers = _pool_size(len(args_list))
+    _pools.get([]).append(workers)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args_list))
 
 
@@ -442,12 +451,13 @@ def _task_oracle(spec: ExperimentSpec, out: Path) -> dict:
 
 
 def _task_graphcheck(spec: ExperimentSpec, out: Path) -> dict:
-    report = circuits.verify_simple_edge_bound(spec.k_max)
+    # one pass over the class blocks checks them and writes them out
+    report, blocks = circuits._checked_blocks(spec.k_max)
     with open(out / "classes.csv", "wb") as fh:
         fh.write(b"k,canonical,rho,sigma_simple,sigma_simple_proper,"
                  b"odd_edge_count\r\n")
-        for k in range(1, spec.k_max + 1):
-            fh.writelines(circuits.classes_csv_chunks(k))
+        for k, walks, cols in blocks:
+            fh.write(circuits._csv_bytes(k, walks, cols))
     return {
         "classes_checked": report["classes_checked"],
         "violations": report["violations"],
@@ -489,12 +499,17 @@ def run(spec: ExperimentSpec) -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     env = {"numpy": np.__version__, "blas": blas.get("name"),
            "blas_version": blas.get("version"), "cpu_count": os.cpu_count(),
-           "pool_size": _pool_size(spec.replicas), "thread_env": {
+           "pool_size": None, "thread_env": {
                k: v for k, v in sorted(os.environ.items())
                if k.endswith("_NUM_THREADS") or k == "CWRMT_THREADS"}}
+    token = _pools.set(pools := [])
     t0 = time.perf_counter()
-    with _one_blas_thread() as env["blas_threads"]:
-        body = _TASK_FNS[spec.task](spec, out)
+    try:
+        with _one_blas_thread() as env["blas_threads"]:
+            body = _TASK_FNS[spec.task](spec, out)
+    finally:
+        _pools.reset(token)
+    env["pool_size"] = max(pools, default=None)  # None: the task ran none
     elapsed = time.perf_counter() - t0
     report = {
         "spec": asdict(spec),

@@ -223,16 +223,24 @@ def laplace_moment_asymptotic(exp: LaplaceExpansion, K: int,
     """
     if K < 0:
         raise DomainError(f"K must be non-negative, got {K}")
-    if K == 0:
-        return 1.0
+    if not scale > 0:
+        raise DomainError(f"scale must be positive, got {scale}")
     if exp.a > 0.0:
         # two symmetric minima at +-a; odd moments cancel
         return 0.5 * (exp.a**K + (-exp.a) ** K)
     if K % 2 == 1:
         return 0.0
     nu = exp.nu
-    return (math.gamma((K + 1) / nu) / math.gamma(1 / nu)
-            * (2.0 / (exp.P * scale)) ** (K / nu))
+    # Gamma((K+1)/nu) / Gamma(1/nu) * (2 / (P scale))^(K/nu), in logs: the
+    # Gamma function alone overflows a double from K = 344 at nu = 2
+    log_m = (math.lgamma((K + 1) / nu) - math.lgamma(1 / nu) + K / nu
+             * (math.log(2.0) - math.log(exp.P) - math.log(scale)))
+    try:
+        return math.exp(log_m)
+    except OverflowError:
+        raise NumericError(
+            f"Laplace asymptotic of moment K={K} at scale={scale:g} is "
+            f"e^{log_m:.6g}, beyond the double range") from None
 
 
 # ---------------------------------------------------------------------------

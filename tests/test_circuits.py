@@ -2,10 +2,10 @@
 exact trace-moment class sum, and the simple-proper-edge bound.
 
 `circuit_stats` (a per-walk loop) and `doubled_tree_count` (a closed form)
-below are oracles independent of the vectorised class table they check."""
+and `restricted_growth_strings` (a list comprehension) below are oracles
+independent of the vectorised class blocks they check."""
 
 import csv
-import dataclasses
 import io
 import itertools
 import math
@@ -34,7 +34,7 @@ from cwrmt import (
     verify_simple_edge_bound,
 )
 from cwrmt import circuits, ensembles
-from cwrmt.circuits import class_table, classes_csv_chunks, falling_factorial
+from cwrmt.circuits import class_counts, falling_factorial
 from cwrmt.errors import DomainError, NumericError, ResourceError
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570,
@@ -75,6 +75,15 @@ def circuit_stats(values: Sequence[int]) -> CircuitStats:
                         sigma_simple_proper=sigma_simple_proper,
                         multiplicities=dict(mult), odd_edge_count=odd,
                         loop_count=loops)
+
+
+def restricted_growth_strings(k: int) -> list:
+    """The canonical strings of length k in lexicographic order: c_1 = 1 and
+    c_m <= 1 + max(c_1, ..., c_{m-1}), one label at a time."""
+    rows = [(1,)]
+    for _ in range(k - 1):
+        rows = [r + (c,) for r in rows for c in range(1, max(r) + 2)]
+    return rows
 
 
 def doubled_tree_count(k: int, N: int) -> int:
@@ -205,44 +214,51 @@ def test_enumeration_guards():
 
 @pytest.mark.parametrize("k", range(1, 11))
 def test_csv_chunks_match_csv_writer(k, monkeypatch):
-    # the oracle: csv.writer over rows built one class at a time from the
-    # table's columns; 7-row chunks split inside every k with Bell(k) > 7
-    t = class_table(k)
+    # the oracle: csv.writer over rows built one class at a time; 7-row
+    # blocks split inside every k with Bell(k) > 7, and 700-row blocks keep
+    # k = 9 and 10 to a few hundred blocks
+    rows = 7 if k < 9 else 700
     buf = io.StringIO(newline="")
     w = csv.writer(buf)
-    for c, *cols in zip(t.canonical.tolist(), t.rho.tolist(),
-                        t.sigma_simple.tolist(),
-                        t.sigma_simple_proper.tolist(),
-                        t.odd_edge_count.tolist()):
-        w.writerow([k, "-".join(str(v) for v in c), *cols])
-    monkeypatch.setattr(circuits, "_CHUNK_ROWS", 7)
-    chunks = list(classes_csv_chunks(k))
+    for c in enumerate_classes(k):
+        w.writerow([k, "-".join(str(v) for v in c.canonical), c.rho,
+                    c.sigma_simple, c.sigma_simple_proper, c.odd_edge_count])
+    monkeypatch.setattr(circuits, "_CHUNK_ROWS", rows)
+    chunks = [circuits._csv_bytes(k, walks, cols)
+              for walks, cols in circuits._class_blocks(k)]
     assert b"".join(chunks) == buf.getvalue().encode()
-    assert max(chunk.count(b"\r\n") for chunk in chunks) <= 7
-    assert len(chunks) == -(-BELL[k] // 7)
+    assert 1 <= min(chunk.count(b"\r\n") for chunk in chunks)
+    assert max(chunk.count(b"\r\n") for chunk in chunks) <= rows
+    # only the last block of each prefix's completions may be short
+    least = -(-BELL[k] // rows)
+    assert least <= len(chunks) <= least + BELL[max(k - circuits._TAIL, 0)] - 1
 
 
 # ---------------------------------------------------------------------------
-# class table
+# class blocks and count tables
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("k", range(1, 10))
-def test_table_columns_match_circuit_stats(k):
-    t = class_table(k)
-    for i, canonical in enumerate(map(tuple, t.canonical.tolist())):
+def test_table_columns_match_circuit_stats(k, monkeypatch):
+    # 100-row blocks slice the completion tables of every k >= 6
+    monkeypatch.setattr(circuits, "_CHUNK_ROWS", 100)
+    rows = []
+    for walks, cols in circuits._class_blocks(k):
+        assert len(walks) <= 100
+        rows += zip(map(tuple, walks.tolist()), *(c.tolist() for c in cols))
+    assert [row[0] for row in rows] == restricted_growth_strings(k)
+    for canonical, *got in rows:
         st_ = circuit_stats(canonical)
         k_proper = sum(nu for (v, w), nu in st_.multiplicities.items()
                        if v != w)
-        assert (t.rho[i], t.sigma_simple[i], t.sigma_simple_proper[i],
-                t.odd_edge_count[i], t.k_proper[i]) == \
-            (st_.rho, st_.sigma_simple, st_.sigma_simple_proper,
-             st_.odd_edge_count, k_proper)
+        assert got == [st_.rho, st_.sigma_simple, st_.sigma_simple_proper,
+                       st_.odd_edge_count, k_proper]
 
 
 @pytest.mark.parametrize("k", range(1, 13))
 def test_table_counts_bell_and_partition_identity(k):
     # reads only the (rho, odd) count matrix: no class objects at k = 11, 12
-    counts = class_table(k).counts
+    counts = class_counts(k)
     assert int(counts.sum()) == BELL[k]
     by_rho = counts.sum(axis=1).tolist()
     for N in range(1, k + 1):
@@ -251,32 +267,30 @@ def test_table_counts_bell_and_partition_identity(k):
 
 
 def test_table_is_cached_and_read_only():
-    t = class_table(6)
-    assert class_table(6) is t
-    for arr in (t.canonical, t.rho, t.sigma_simple, t.sigma_simple_proper,
-                t.odd_edge_count, t.k_proper, t.counts):
-        with pytest.raises(ValueError):
-            arr[0] = 0
+    counts = class_counts(6)
+    assert class_counts(6) is counts
+    with pytest.raises(ValueError):
+        counts[0, 0] = 0
 
 
 def test_fresh_table_is_built_once_across_threads(monkeypatch):
     # the oracle's pool runs two cells of one k at once; the second thread
-    # waits for the first one's build instead of enumerating again
-    real, calls = circuits._restricted_growth_strings, []
+    # waits for the first one's count table instead of enumerating again
+    real, calls = circuits._class_blocks, []
 
     def slow(k):
         calls.append(k)
         time.sleep(0.05)  # the other thread asks meanwhile
         return real(k)
 
-    monkeypatch.setattr(circuits, "_restricted_growth_strings", slow)
-    monkeypatch.setattr(circuits, "class_table", ensembles._cached_once(
-        circuits.class_table.__wrapped__))  # an empty cache
+    monkeypatch.setattr(circuits, "_class_blocks", slow)
+    monkeypatch.setattr(circuits, "class_counts", ensembles._cached_once(
+        circuits.class_counts.__wrapped__))  # an empty cache
     both = threading.Barrier(2)
 
     def ask(k):
         both.wait()
-        return circuits.class_table(k)
+        return circuits.class_counts(k)
 
     with ThreadPoolExecutor(2) as pool:
         first, second = pool.map(ask, [7, 7])
@@ -285,15 +299,15 @@ def test_fresh_table_is_built_once_across_threads(monkeypatch):
 
 
 def test_table_build_memory_is_bounded():
-    # the edge columns are summed into int8 a chunk at a time; int64 sums
-    # kept for every chunk peaked at 38 MB at k = 11
+    # the counts are summed over streamed blocks; a cached table of every
+    # class, built through fan arrays of all Bell(k) rows, peaked at 19 MB
     tracemalloc.start()
     try:
-        circuits.class_table.__wrapped__(11)  # uncached
+        circuits.class_counts.__wrapped__(11)  # uncached
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 25e6
+    assert peak < 8e6
 
 
 # exact_trace_moment(full_cw beta=0.5 measure, N, k, 0.5) before the class
@@ -344,6 +358,22 @@ def test_vertex_bound_equality_iff_doubled_tree(k):
         is_doubled_tree = (c.rho == k // 2 + 1 and c.sigma_simple == 0
                            and k % 2 == 0)
         assert is_equal == is_doubled_tree
+
+
+@pytest.mark.parametrize("run_pass", [
+    lambda: circuits.class_counts.__wrapped__(3),  # uncached
+    lambda: enumerate_classes(3),
+    lambda: verify_simple_edge_bound(3),
+    lambda: list(circuits._checked_blocks(3)[1]),  # graphcheck's pass
+], ids=["counts", "enumerate", "verify", "graphcheck"])
+def test_every_pass_checks_the_vertex_bound(monkeypatch, run_pass):
+    # with no simple edge counted, the triangle (1, 2, 3) has
+    # rho = 3 > k/2 + 1 = 2.5, and every pass over the blocks stops there
+    real = circuits._edge_columns
+    monkeypatch.setattr(circuits, "_edge_columns", lambda walks: (
+        np.zeros(len(walks), dtype=np.int8), *real(walks)[1:]))
+    with pytest.raises(NumericError, match=r"walk \(1, 2, 3\): rho=3"):
+        run_pass()
 
 
 # ---------------------------------------------------------------------------
@@ -456,16 +486,15 @@ def test_simple_edge_bound_guard():
 
 
 def test_simple_edge_bound_reports_each_violated_t(monkeypatch):
-    # with every simple proper edge removed from the table, the bound fails
+    # with every simple proper edge removed from the blocks, the bound fails
     # for exactly the (class, t) pairs the per-t loop of the theorem admits
-    real = circuits.class_table
+    real = circuits._class_blocks
 
     def stripped(k):
-        t = real(k)
-        return dataclasses.replace(
-            t, sigma_simple_proper=np.zeros_like(t.sigma_simple_proper))
+        for walks, (rho, simple, sp, odd, k_proper) in real(k):
+            yield walks, (rho, simple, np.zeros_like(sp), odd, k_proper)
 
-    monkeypatch.setattr(circuits, "class_table", stripped)
+    monkeypatch.setattr(circuits, "_class_blocks", stripped)
     expected = []
     for k in range(1, 7):
         for c in enumerate_classes(k):
@@ -482,11 +511,28 @@ def test_simple_edge_bound_reports_each_violated_t(monkeypatch):
     assert verify_simple_edge_bound(6)["violations"] == expected
 
 
+def test_simple_edge_bound_reports_the_boundary_t(monkeypatch):
+    # with exactly 2t simple proper edges at the largest admitted t, each
+    # such class violates the bound at that t only
+    real = circuits._class_blocks
+
+    def at_boundary(k):
+        for walks, (rho, simple, sp, odd, k_proper) in real(k):
+            t_top = (2 * rho - k_proper - 1) // 2
+            yield walks, (rho, simple, np.where(t_top >= 1, 2 * t_top, sp),
+                          odd, k_proper)
+
+    monkeypatch.setattr(circuits, "_class_blocks", at_boundary)
+    violations = verify_simple_edge_bound(6)["violations"]
+    assert violations
+    for v in violations:
+        assert v["sigma_simple_proper"] == 2 * v["t"]
+        assert 2 * v["rho"] - v["k_proper"] - 1 in (2 * v["t"], 2 * v["t"] + 1)
+
+
 def test_simple_edge_bound_memory_is_bounded():
-    # the check reads the int8 table columns in place; widening rho and t_top
-    # to intp for every class peaked near 17 MB at k = 11
-    for k in range(1, 12):
-        class_table(k)  # build the cached tables outside the window
+    # the check reads int8 block columns in place; widening rho and t_top
+    # to intp for every class of a cached table peaked near 17 MB at k = 11
     tracemalloc.start()
     try:
         verify_simple_edge_bound(11)

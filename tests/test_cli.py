@@ -27,7 +27,7 @@ from cwrmt.cli import (
     main,
     run,
 )
-from cwrmt import circuits, cli, ensembles, spectral
+from cwrmt import cli, ensembles, spectral
 from cwrmt.errors import ConfigError
 
 
@@ -176,20 +176,25 @@ def test_graphcheck_task(tmp_path):
     assert (tmp_path / "classes.csv").exists()
 
 
+CLASSES_CSV_SHA256 = {
+    10: "7f1b7f0c9558f90e9f0e93c079708fa1d53ad83dc9de3ca62c9be96fbcad4b16",
+    11: "2f0b2f214aaac375f4b1b4f94e854ff9d91ef99fa643f5390d242ecce657ecc9"}
+
+
 def test_classes_csv_bytes_pinned(tmp_path):
-    # k = 10 is the only walk length <= 10 with two-digit fields (label 10,
-    # rho = 10, sigma_simple = 10); csv.writer ends every line with CRLF
-    run(_spec(tmp_path, task="graphcheck", ensemble={}, k_max=10))
-    data = (tmp_path / "classes.csv").read_bytes()
-    assert hashlib.sha256(data).hexdigest() == (
-        "7f1b7f0c9558f90e9f0e93c079708fa1d53ad83dc9de3ca62c9be96fbcad4b16")
+    # k = 10 and 11 have two-digit fields (labels, rho and sigma_simple of
+    # 10 and 11); csv.writer ends every line with CRLF
+    for k_max, digest in CLASSES_CSV_SHA256.items():
+        out = tmp_path / str(k_max)
+        run(_spec(out, task="graphcheck", ensemble={}, k_max=k_max))
+        data = (out / "classes.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, k_max
 
 
 def test_graphcheck_memory_is_bounded(tmp_path):
-    # classes.csv is written from the class tables a chunk at a time; one
-    # Python row per class peaked near 120 MB at k_max = 11
-    for k in range(1, 12):
-        circuits.class_table(k)  # build the cached tables outside the window
+    # classes.csv is written from the class blocks as they are enumerated;
+    # one Python row per class peaked near 120 MB at k_max = 11, and the
+    # cached class tables built in the window took it to 21 MB
     spec = _spec(tmp_path, task="graphcheck", ensemble={}, k_max=11)
     tracemalloc.start()
     try:
@@ -197,7 +202,7 @@ def test_graphcheck_memory_is_bounded(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+    assert peak < 8e6
 
 
 def test_laplace_task(tmp_path):
@@ -422,10 +427,30 @@ def test_summary_records_the_environment(tmp_path, monkeypatch):
     env = json.loads((tmp_path / "summary.json").read_text())["env"]
     assert env["numpy"] == np.__version__
     assert isinstance(env["blas"], str) and env["cpu_count"] >= 1
-    assert env["pool_size"] == 1
+    assert env["pool_size"] is None  # graphcheck runs no pool
     assert env["thread_env"]["CWRMT_THREADS"] == "1"
     assert env["thread_env"]["OMP_NUM_THREADS"] == "3"
     assert env["blas_threads"] == (1 if cli._blas_thread_fns() else None)
+
+
+@pytest.mark.parametrize("cells", [[[4, 4]], [[4, 4], [4, 2]]])
+def test_summary_records_the_pool_the_oracle_used(tmp_path, monkeypatch,
+                                                  cells):
+    # a one-cell oracle runs one worker, however many replicas it draws
+    monkeypatch.delenv("CWRMT_THREADS", raising=False)
+    used = []
+    real = cli.ThreadPoolExecutor
+
+    def pool(max_workers):
+        used.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", pool)
+    report = run(_spec(tmp_path, task="oracle",
+                       ensemble={"kind": "full_cw", "beta": 0.5},
+                       replicas=2000, cells=cells))
+    assert used == [min(len(cells), os.cpu_count() or 1)]
+    assert report["env"]["pool_size"] == used[0]
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +576,21 @@ def test_main_numeric_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric error:")
     assert "beta=40" in err
+
+
+@pytest.mark.parametrize("scale,code", [
+    (1e6, EXIT_OK), (1e3, EXIT_TOLERANCE), (1e-3, EXIT_NUMERIC)])
+def test_main_laplace_high_moment(tmp_path, capsys, scale, code):
+    # Gamma((K+1)/2) overflows a double at K = 400, where math.gamma ended
+    # the run in a traceback; at scale 1e3 the K = 400 asymptotic is far
+    # from the moment, and at 1e-3 it lies beyond the double range
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps({
+        "task": "laplace", "ensemble": {"kind": "full_cw", "beta": 0.5},
+        "K_list": [400], "scales": [scale], "output_dir": str(tmp_path)}))
+    assert main(["run", "--config", str(cfg_path)]) == code
+    if code == EXIT_NUMERIC:
+        assert "numeric error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -699,6 +739,8 @@ def test_main_bad_scalar_field(tmp_path, capsys, task, field, value, named):
     ("esd", "ensemble.betta", 0.5, "bad ensemble config"),
     ("laplace", "ensemble.beta", math.inf,
      "ensemble.beta must be finite, got inf"),
+    ("esd", "tolerances.m4_range", [3, 1],
+     "tolerances.m4_range must be [lo, hi] with lo <= hi, got [3, 1]"),
 ])
 def test_main_bad_config_field(tmp_path, capsys, task, key, value, named):
     # every field of the spec, the ensemble mapping and the tolerances table

@@ -499,6 +499,26 @@ class TestLaplaceAsymptotics:
         assert laplace_moment_asymptotic(exp, 4, 1e3) == pytest.approx(
             3.0 * 1e-6, rel=1e-12)
 
+    @pytest.mark.parametrize("K", [342, 344, 400, 1000])
+    def test_high_moment_stays_finite(self, K):
+        # Gamma((K+1)/2) alone overflows a double from K = 344; the value
+        # itself is far inside the double range at scale 1e3
+        import mpmath as mp
+        exp = find_minimum(curie_weiss_potential(0.5))
+        with mp.workdps(40):
+            want = (mp.gamma(mp.mpf(K + 1) / 2) / mp.gamma(mp.mpf(1) / 2)
+                    * (2 / (mp.mpf(exp.P) * 1000)) ** (mp.mpf(K) / 2))
+        got = laplace_moment_asymptotic(exp, K, 1e3)
+        assert got == pytest.approx(float(want), rel=1e-12)
+
+    def test_moment_beyond_the_double_range_is_typed(self):
+        exp = find_minimum(curie_weiss_potential(0.5))
+        with pytest.raises(NumericError, match="K=400 at scale=0.001"):
+            laplace_moment_asymptotic(exp, 400, 1e-3)
+        for scale in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match="scale must be positive"):
+                laplace_moment_asymptotic(exp, 2, scale)
+
     @pytest.mark.parametrize("K", [2, 4])
     def test_ratio_converges_to_one(self, K):
         pot = curie_weiss_potential(0.5)
