@@ -13,13 +13,14 @@ strings; only their (rho, odd) count table is cached.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
 
-from .ensembles import _cached_once
+from .definetti import _cached_once
 from .errors import DomainError, NumericError, ResourceError
 
 __all__ = [
@@ -161,8 +162,6 @@ def exact_trace_moment(m, N: int, k: int, gamma: float) -> float:
     """
     if N < 1 or k < 1:
         raise DomainError("N and k must be positive")
-    if not math.isfinite(gamma):
-        raise DomainError(f"gamma must be finite, got {gamma}")
     counts = class_counts(k).T.tolist()  # [odd][rho]
     total = Fraction(0)
     for odd, by_rho in enumerate(counts):
@@ -171,7 +170,16 @@ def exact_trace_moment(m, N: int, k: int, gamma: float) -> float:
                          for rho, c in enumerate(by_rho) if c)
             total += tuples * Fraction(m.moment(odd))
     # the walks number N^k, so total / N^k is a moment average in [-1, 1]
-    return float(total / N ** k) * N ** (k - 1 - k * gamma)
+    return float(total / N ** k) * _scaling(N, k - 1 - k * gamma, k, gamma)
+
+
+def _scaling(N: int, e: float, k: int, gamma: float) -> float:
+    """N^e as a finite positive double, else DomainError naming N, k, gamma."""
+    with suppress(OverflowError):
+        if 0.0 < (value := float(N) ** e) < math.inf:
+            return value
+    raise DomainError(f"N^{e:g} is not a finite positive double at N={N}, "
+                      f"k={k}, gamma={gamma:g}")
 
 
 def _checked_blocks(k_max: int) -> tuple[dict, Iterator[tuple]]:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from . import ensembles
+from . import circuits, ensembles
 from .definetti import find_minimum
 from .ensembles import EnsembleConfig, _latent, _law, _t_measure, seed_stream
 from .errors import DomainError, ResourceError, UnsupportedEnsembleError
@@ -85,6 +85,7 @@ def mc_trace_moment(cfg: EnsembleConfig, k: int, gamma: float,
             raise DomainError(f"{name} must be >= {least}, got {value}")
     if cfg.N**k >= 2**63:
         raise ResourceError(f"N={cfg.N}, k={k}: int64 traces need N^k < 2^63")
+    norm = circuits._scaling(cfg.N, 1 + k * gamma, k, gamma)
     rng = seed_stream(cfg.seed, cfg.replica_index, "mc")
     traces = np.empty(replicas, dtype=np.int64)
     batch = max(1, min(replicas, int(2e7 // (cfg.N * cfg.N))))
@@ -96,7 +97,6 @@ def mc_trace_moment(cfg: EnsembleConfig, k: int, gamma: float,
         out = traces[done:done + n]
         for j in range(0, n, block):
             out[j:j + block] = _traces(X[j:j + block], k)
-    norm = float(cfg.N) ** (1 + k * gamma)
     return (float(traces.mean()) / norm,
             float(traces.std(ddof=1)) / math.sqrt(replicas) / norm)
 

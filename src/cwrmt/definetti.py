@@ -11,7 +11,10 @@ minimum of G on [0, inf).
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import suppress
 from dataclasses import dataclass
+from functools import lru_cache, wraps
 from typing import Callable
 
 import numpy as np
@@ -38,6 +41,7 @@ _Y_MAX = 18.5  # the minimum is searched on [0, _Y_MAX], where tanh y < 1
 _T_MAX = 1.0 - 2.0**-53  # largest double below 1: |t| beyond it rounds to 1
 _NU_MAX = 12  # the highest order of a minimum that is classified
 _T_SLICE = 2**14  # draws per slice of `sample_t`'s map from u to t
+_GUIDE = 2**12  # cells of `sample_t`'s guide over [0, 1), and one for u = 1
 # integrand values e^-45 below the peak carry < 1e-16 of the mass; beyond
 # the cutoff the integrand must stay that low out to y = _Y_FAR
 _LOG_TAIL, _Y_FAR = 45.0, 1e6
@@ -47,6 +51,18 @@ _GL8 = np.polynomial.legendre.leggauss(8)
 # _MASS_TOL of the total or the CDF table errs by more than _TABLE_TOL on it
 _MASS_TOL, _TABLE_TOL, _MAX_PANELS = 1e-13, 1e-8, 20_000
 _BREAKS_PER_WIDTH = 2  # initial breaks per Laplace width, out to 8 widths
+
+
+def _cached_once(fn):
+    """lru_cache'd `fn` behind a lock: when threads of the pool ask for the
+    same fresh key at once, the first builds it and the others wait for it."""
+    cached, lock = lru_cache(maxsize=64)(fn), threading.Lock()
+
+    @wraps(fn)
+    def call(*args):
+        with lock:
+            return cached(*args)
+    return call
 
 
 # ---------------------------------------------------------------------------
@@ -88,15 +104,18 @@ def _cw_excess(beta: float, u: np.ndarray, y0: float) -> np.ndarray:
     """
     d = u - y0
     with np.errstate(over="ignore", invalid="ignore"):
-        near = np.log1p(2.0 * np.sinh(0.5 * (u + y0)) * np.sinh(0.5 * d)
-                        / math.cosh(y0))
-        far = d + np.log1p(np.expm1(-2.0 * d) / (1.0 + math.exp(2.0 * y0)))
-    return d * (u + y0) / beta - 2.0 * np.where(u < 300.0, near, far)
+        ln = np.log1p(2.0 * np.sinh(0.5 * (u + y0)) * np.sinh(0.5 * d)
+                      / math.cosh(y0))
+        if np.any(u >= 300.0):
+            ln = np.where(u < 300.0, ln, d + np.log1p(
+                np.expm1(-2.0 * d) / (1.0 + math.exp(2.0 * y0))))
+    return d * (u + y0) / beta - 2.0 * ln
 
 
+@_cached_once
 def curie_weiss_potential(beta: float) -> Potential:
     """F_beta(t) = (1/beta) * artanh(t)^2 + ln(1 - t^2), stated as its
-    y-form G(y) = y^2/beta - 2 ln cosh y.
+    y-form G(y) = y^2/beta - 2 ln cosh y; one object per beta.
     F_beta''(0) = 2(1-beta)/beta and F_beta''''(0) = 16/beta - 12.
     """
     if not beta > 0:
@@ -174,11 +193,12 @@ _TO_ZERO = np.array([np.prod(np.delete(_H2, j) / (np.delete(_H2, j) - x))
 _SLOPE_STEP = 1e-7  # half-width of the difference that gives the sign of G'
 
 
+@_cached_once
 def _minimum(p: Potential) -> tuple[float, LaplaceExpansion]:
     """The minimiser y* of G(y) = F(tanh y) on [0, inf) and its expansion:
     nu is the least order whose Taylor coefficient P_y of the even part of
     G(y* + h) - G(y*) is not zero, and P = P_y cosh^(2 nu) y*, as
-    dy/dt = cosh^2 y."""
+    dy/dt = cosh^2 y.  Computed once per potential."""
     ys = np.linspace(0.0, _Y_MAX, 4097)
     vals = _excess(p, ys, 0.0)
     i = int(np.argmin(vals))
@@ -235,12 +255,12 @@ def laplace_moment_asymptotic(exp: LaplaceExpansion, K: int,
     # Gamma function alone overflows a double from K = 344 at nu = 2
     log_m = (math.lgamma((K + 1) / nu) - math.lgamma(1 / nu) + K / nu
              * (math.log(2.0) - math.log(exp.P) - math.log(scale)))
-    try:
-        return math.exp(log_m)
-    except OverflowError:
-        raise NumericError(
-            f"Laplace asymptotic of moment K={K} at scale={scale:g} is "
-            f"e^{log_m:.6g}, beyond the double range") from None
+    with suppress(OverflowError):  # a moment that rounds to 0 is no check
+        if 0.0 < (m := math.exp(log_m)) < math.inf:
+            return m
+    raise NumericError(
+        f"Laplace asymptotic of moment K={K} at scale={scale:g} is "
+        f"e^{log_m:.6g}, beyond the double range")
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +304,18 @@ def _cubic(s, f0, f1, d0, d1):
     return np.clip(v, f0, f1)
 
 
-def _hermite(x, xs, fs, dfdx):
+def _hermite(x, xs, fs, dfdx, guide=None):
     """The cubic Hermite interpolant of the table (xs, fs, dfdx) at x, which
-    is clipped to the table; xs may repeat, fs must not decrease."""
+    is clipped to the table; xs may repeat, fs must not decrease.  A `guide`
+    (of xs on [0, 1]) spares the search where it knows the interval."""
     x = np.clip(x, xs[0], xs[-1])
-    i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
+    if guide is None:
+        i = np.searchsorted(xs, x, side="right") - 1
+    else:
+        i = guide[(x * _GUIDE).astype(np.intp)]
+        miss = i < 0
+        i[miss] = np.searchsorted(xs, x[miss], side="right") - 1
+    i = np.clip(i, 0, len(xs) - 2)
     h = xs[i + 1] - xs[i]
     return _cubic((x - xs[i]) / h, fs[i], fs[i + 1], h * dfdx[i],
                   h * dfdx[i + 1])
@@ -315,6 +342,11 @@ class DeFinettiMeasure:
         self._where = f"{potential.label!r}, scale={self.scale:g}"
         self._y0, self.minimum = _minimum(potential)
         self._build(self._initial_breaks())
+        # the table row of every u in [g, g + 1) / _GUIDE, or -1 if they differ
+        edges = np.arange(_GUIDE + 2) / _GUIDE
+        lo = np.searchsorted(self._us, edges[:-1], "right")
+        hi = np.searchsorted(self._us, edges[1:], "left")
+        self._guide = np.where(lo == hi, lo - 1, -1)
         self.log_normalizer = (-0.5 * self.scale * self.minimum.F_at_a
                                + math.log(2.0 * self._mass))
         ts = np.tanh(self._ys)
@@ -448,7 +480,8 @@ class DeFinettiMeasure:
         t = np.empty(u.shape)
         for i in range(0, u.size, _T_SLICE):
             v = 2.0 * u.reshape(-1)[i:i + _T_SLICE] - 1.0
-            y = _hermite(np.abs(v), self._us, self._ys, self._dydu)
+            y = _hermite(np.abs(v), self._us, self._ys, self._dydu,
+                         self._guide)
             t.reshape(-1)[i:i + _T_SLICE] = np.copysign(
                 np.minimum(np.tanh(y), _T_MAX), v)
         return float(t) if size is None else t

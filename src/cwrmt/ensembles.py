@@ -9,13 +9,12 @@ Rademacher baseline.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from functools import lru_cache, wraps
 
 import numpy as np
 
-from .definetti import DeFinettiMeasure, PointMass, Potential, curie_weiss_potential
+from .definetti import (DeFinettiMeasure, PointMass, Potential, _cached_once,
+                        curie_weiss_potential)
 from .errors import ConfigError, DomainError, UnsupportedEnsembleError
 
 __all__ = [
@@ -123,25 +122,9 @@ def scale(X: SpinMatrix, gamma: float) -> ScaledMatrix:
 # mixing measures (cached: construction runs adaptive quadrature)
 # ---------------------------------------------------------------------------
 
-def _cached_once(fn):
-    """lru_cache'd `fn` behind a lock: when threads of the pool ask for the
-    same fresh key at once, the first builds it and the others wait for it."""
-    cached, lock = lru_cache(maxsize=64)(fn), threading.Lock()
-
-    @wraps(fn)
-    def call(*args):
-        with lock:
-            return cached(*args)
-    return call
-
-
 @_cached_once
 def _measure(potential: Potential, scale_: float) -> DeFinettiMeasure:
     return DeFinettiMeasure(potential, scale_)
-
-
-# one Potential object per beta, so equal configs share a cache entry
-_cw_potential = _cached_once(curie_weiss_potential)
 
 
 def _law(cfg: EnsembleConfig) -> tuple[Potential, float]:
@@ -149,8 +132,8 @@ def _law(cfg: EnsembleConfig) -> tuple[Potential, float]:
     if cfg.kind == "iid":
         raise UnsupportedEnsembleError("iid has no mixing measure")
     if cfg.kind == "generalized":
-        return cfg.potential or _cw_potential(cfg.beta), cfg.alpha
-    return _cw_potential(cfg.beta), 2 if cfg.kind == "full_cw" else 1
+        return cfg.potential or curie_weiss_potential(cfg.beta), cfg.alpha
+    return curie_weiss_potential(cfg.beta), 2 if cfg.kind == "full_cw" else 1
 
 
 def _t_measure(cfg: EnsembleConfig):

@@ -9,6 +9,7 @@ import csv
 import io
 import itertools
 import math
+import re
 import threading
 import time
 import tracemalloc
@@ -343,6 +344,14 @@ def test_exact_moment_large_N_catalan():
 def test_exact_moment_rejects_non_finite_gamma(gamma):
     with pytest.raises(DomainError):
         exact_trace_moment(PointMass(0.0), 4, 2, gamma)
+
+
+@pytest.mark.parametrize("gamma", [400.0, -400.0, 1e308, -1e308])
+def test_exact_moment_rejects_a_scale_beyond_the_doubles(gamma):
+    # N^(k - 1 - k gamma) overflowed at -400 and rounded to 0 at 400
+    named = re.escape(f"N=4, k=4, gamma={gamma:g}") + "$"
+    with pytest.raises(DomainError, match=named):
+        exact_trace_moment(PointMass(0.0), 4, 4, gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -579,11 +579,12 @@ def test_main_numeric_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("scale,code", [
-    (1e6, EXIT_OK), (1e3, EXIT_TOLERANCE), (1e-3, EXIT_NUMERIC)])
+    (1e6, EXIT_NUMERIC), (1e3, EXIT_TOLERANCE), (1e-3, EXIT_NUMERIC)])
 def test_main_laplace_high_moment(tmp_path, capsys, scale, code):
     # Gamma((K+1)/2) overflows a double at K = 400, where math.gamma ended
     # the run in a traceback; at scale 1e3 the K = 400 asymptotic is far
-    # from the moment, and at 1e-3 it lies beyond the double range
+    # from the moment, at 1e-3 it lies above the double range, and at 1e6
+    # below it, where a ratio of two zeros passed having compared nothing
     cfg_path = tmp_path / "spec.json"
     cfg_path.write_text(json.dumps({
         "task": "laplace", "ensemble": {"kind": "full_cw", "beta": 0.5},
@@ -687,6 +688,22 @@ def test_main_oracle_exact_cell_passes(tmp_path, capsys, ensemble):
         assert [float(row[4]) for row in rows] == [0.0] * len(cells)
         if gamma == 0.25:
             assert all(float(row[2]) != float(row[3]) for row in rows)
+
+
+@pytest.mark.parametrize("gamma", [400.0, -400.0, 1e308])
+def test_main_oracle_gamma_beyond_the_double_range(tmp_path, capsys, gamma):
+    # N^(1 + k gamma) overflowed into a traceback at +-400, and at 1e308
+    # both sides were 0.0, so the cell passed having compared nothing
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps({
+        "task": "oracle", "ensemble": {"kind": "full_cw", "beta": 0.5},
+        "cells": [[4, 4]], "gamma": gamma, "replicas": 100,
+        "output_dir": str(tmp_path)}))
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"N=4, k=4, gamma={gamma:g}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("task,field,value,named", [

@@ -248,6 +248,16 @@ def test_mc_trace_moment_exact_on_the_all_ones_matrix(monkeypatch, N, k):
                                                  0.0)
 
 
+@pytest.mark.parametrize("gamma", [400.0, -400.0, 1e308, math.nan])
+def test_mc_trace_moment_rejects_a_scale_beyond_the_doubles(gamma):
+    # float(N) ** (1 + k gamma) overflowed at 400 and rounded to 0 at -400
+    # (a ZeroDivisionError); at 1e308 it was inf, so both results read 0
+    cfg = EnsembleConfig("full_cw", N=4, beta=0.5, seed=1)
+    named = re.escape(f"N=4, k=4, gamma={gamma:g}") + "$"
+    with pytest.raises(DomainError, match=named):
+        mc_trace_moment(cfg, 4, gamma, 100)
+
+
 @pytest.mark.parametrize("k", range(1, 11))
 def test_traces_match_eigenvalue_power_sums(k):
     rng = np.random.default_rng(k)

@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -349,10 +351,140 @@ class TestSampling:
             tracemalloc.stop()
         assert peak < 5e6
 
+    @pytest.mark.parametrize("beta,scale", [(0.3, 1.0), (15.0, 1e10),
+                                            (1.5, 1e4), (1.0, 1e12)])
+    def test_guide_gives_the_searched_interval(self, beta, scale):
+        # the guide's cells [g, g + 1) / 2^12 have exact edges, so where a
+        # cell knows its row that is the searched row of every u in it, and
+        # the guided interpolant keeps every bit of the searched one: at 0
+        # and 1, the table's own values (at beta = 15, S = 1e10 many lie
+        # within 1e-7 of 1), each cell edge and both its neighbours, and
+        # 10^5 uniforms
+        m = DeFinettiMeasure(curie_weiss_potential(beta), scale)
+        us, n = m._us, len(m._us)
+        edges = np.arange(definetti._GUIDE + 1) / definetti._GUIDE
+        x = np.concatenate([
+            [0.0, 1.0], us, edges, np.nextafter(edges, 0.0),
+            np.nextafter(edges, 1.0),
+            np.random.default_rng(9).random(10**5)])
+        x = x[(0.0 <= x) & (x <= 1.0)]
+        want = np.clip(np.searchsorted(us, x, "right") - 1, 0, n - 2)
+        row = m._guide[(x * definetti._GUIDE).astype(np.intp)]
+        known = row >= 0
+        assert 0.5 < np.mean(known) < 1.0  # both paths are taken
+        assert np.array_equal(np.clip(row[known], 0, n - 2), want[known])
+        guided = definetti._hermite(x, us, m._ys, m._dydu, m._guide)
+        searched = definetti._hermite(x, us, m._ys, m._dydu)
+        assert guided.tobytes() == searched.tobytes()
+
     def test_point_mass_sampling(self, rng):
         pm = PointMass(0.3)
         assert pm.sample_t(rng) == 0.3
         assert np.all(pm.sample_t(rng, size=5) == 0.3)
+
+
+# ---------------------------------------------------------------------------
+# caches and the Curie-Weiss excess
+# ---------------------------------------------------------------------------
+
+class TestCaches:
+    def test_one_potential_per_beta(self):
+        assert curie_weiss_potential(0.7) is curie_weiss_potential(0.7)
+        assert curie_weiss_potential(0.7) is not curie_weiss_potential(0.8)
+
+    def test_minimum_found_once_per_potential(self, monkeypatch):
+        # each minimum is bisected once; a fresh potential keys a fresh entry
+        p = Potential(lambda y, y0: definetti._cw_excess(0.7, y, y0),
+                      label="fresh")
+        bisect, calls = definetti._bisect, []
+        monkeypatch.setattr(definetti, "_bisect",
+                            lambda *args: calls.append(args) or bisect(*args))
+        measures = [DeFinettiMeasure(p, S) for S in (1e2, 1e3, 1e4, 1e5, 1e6)]
+        assert len(calls) == 1
+        assert len({id(m.minimum) for m in measures}) == 1
+
+    def test_racing_threads_share_one_potential_and_minimum(self,
+                                                            monkeypatch):
+        # more threads than cores ask for a fresh beta at once; the slowed
+        # bisection keeps the first inside the minimum while the others ask
+        bisect, calls = definetti._bisect, []
+
+        def slow(*args):
+            calls.append(args)
+            time.sleep(0.05)
+            return bisect(*args)
+
+        monkeypatch.setattr(definetti, "_bisect", slow)
+        barrier, got = threading.Barrier(4), []
+
+        def ask(scale):
+            barrier.wait(timeout=10)
+            p = curie_weiss_potential(0.6543)  # a beta no other test uses
+            got.append((p, DeFinettiMeasure(p, scale).minimum))
+
+        threads = [threading.Thread(target=ask, args=(10.0**j,))
+                   for j in range(2, 6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(calls) == 1 and len(got) == 4
+        assert all(p is got[0][0] and e is got[0][1] for p, e in got)
+
+    @pytest.mark.parametrize("beta", [b for b, _, _ in MINIMUM_PINS])
+    def test_cached_minimum_equals_a_fresh_one(self, beta):
+        p = curie_weiss_potential(beta)
+        DeFinettiMeasure(p, 1e4)
+        y, exp = definetti._minimum.__wrapped__(p)
+        assert find_minimum(p) == exp
+        assert definetti._minimum(p)[0] == y
+
+    def test_errors_are_not_cached(self):
+        calls = []
+
+        def downhill(y, y0):
+            calls.append(1)
+            return y0**2 - y**2
+        p = Potential(downhill, label="downhill")
+        for tries in (1, 2):
+            before = len(calls)
+            with pytest.raises(ClassificationError, match="boundary"):
+                find_minimum(p)
+            assert len(calls) > before, tries
+
+
+def _two_branch_excess(beta, u, y0):
+    """_cw_excess with both of its forms evaluated everywhere."""
+    d = u - y0
+    with np.errstate(over="ignore", invalid="ignore"):
+        near = np.log1p(2.0 * np.sinh(0.5 * (u + y0)) * np.sinh(0.5 * d)
+                        / math.cosh(y0))
+        far = d + np.log1p(np.expm1(-2.0 * d) / (1.0 + math.exp(2.0 * y0)))
+    return d * (u + y0) / beta - 2.0 * np.where(u < 300.0, near, far)
+
+
+@pytest.mark.parametrize("beta,y0", [(0.5, 0.0), (1.5, 1.3), (15.0, 15.0),
+                                     (15.0, 18.4)])
+def test_cw_excess_keeps_every_bit_across_its_branches(beta, y0):
+    # the overflow form is evaluated only when some u >= 300 needs it
+    u = np.concatenate([
+        np.linspace(0.0, 600.0, 601), np.linspace(299.0, 301.0, 41),
+        np.nextafter(300.0, [0.0, np.inf]), [1e3, 1e6, 1e150]])
+    for x in (u, u[u < 300.0], u[u >= 300.0], u[-12:].reshape(3, 4)):
+        want = _two_branch_excess(beta, x, y0)
+        assert definetti._cw_excess(beta, x, y0).tobytes() == want.tobytes()
+    for v in np.concatenate([u[:601:25], u[601:]]):  # all of 299..301
+        for x in (float(v), np.asarray(v)):
+            got, want = (f(beta, x, y0) for f in (definetti._cw_excess,
+                                                  _two_branch_excess))
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +647,9 @@ class TestLaplaceAsymptotics:
         exp = find_minimum(curie_weiss_potential(0.5))
         with pytest.raises(NumericError, match="K=400 at scale=0.001"):
             laplace_moment_asymptotic(exp, 400, 1e-3)
+        # below the double range too: a moment read as 0 compares nothing
+        with pytest.raises(NumericError, match="K=400 at scale=1e"):
+            laplace_moment_asymptotic(exp, 400, 1e6)
         for scale in (0.0, -1.0, math.nan):
             with pytest.raises(DomainError, match="scale must be positive"):
                 laplace_moment_asymptotic(exp, 2, scale)
