@@ -225,11 +225,7 @@ def _parallel_map(fn, args_list):
 def _blas_thread_fns():
     """(get, set) of the thread count of the OpenBLAS under numpy's LAPACK, by
     its numpy 2, numpy 1 or system name; None for other BLAS.  Never raises."""
-    try:
-        from numpy.linalg import _umath_linalg
-        lib = ctypes.CDLL(_umath_linalg.__file__)
-    except (ImportError, OSError, AttributeError):
-        return None
+    lib = spectral._lapack()
     for name in ("scipy_openblas_%s_num_threads64_",
                  "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
         get, set_ = (getattr(lib, name % op, None) for op in ("get", "set"))
@@ -287,11 +283,9 @@ def _task_esd(spec: ExperimentSpec, out: Path) -> dict:
     tol = spec.tolerances
     summaries = [s for _, s in _replicas(spec, functools.partial(
         spectral.summarize, k_max=spec.k_max))]
-    eig_rows = [(r, i, float(lam))
-                for r, s in enumerate(summaries)
-                for i, lam in enumerate(s.eigenvalues)]
     _write_csv(out / "eigenvalues.csv", ["replica", "index", "lambda"],
-               eig_rows)
+               ((r, i, lam) for r, s in enumerate(summaries)
+                for i, lam in enumerate(s.eigenvalues.tolist())))
     edges = np.arange(-3.0, 3.0 + 1e-12, 0.1)
     all_lam = np.concatenate([s.eigenvalues for s in summaries])
     hist, _ = np.histogram(all_lam, bins=edges)
@@ -499,6 +493,8 @@ def run(spec: ExperimentSpec) -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     env = {"numpy": np.__version__, "blas": blas.get("name"),
            "blas_version": blas.get("version"), "cpu_count": os.cpu_count(),
+           "eigensolver": ("lapacke_dsyevd" if spectral._dsyevd()
+                           else "numpy_eigvalsh"),
            "pool_size": None, "thread_env": {
                k: v for k, v in sorted(os.environ.items())
                if k.endswith("_NUM_THREADS") or k == "CWRMT_THREADS"}}

@@ -1,13 +1,18 @@
 """Spectra and semicircle reference statistics.
 
-Eigenvalues come from LAPACK's dense symmetric solver (esd, moments), held at
-one OpenBLAS thread by `cwrmt run`; ||A|| alone from certified Lanczos (norm).
-The semicircle pdf/cdf/moments are closed-form, with Catalan numbers as the
-even moments.
+Eigenvalues come from LAPACK's dense symmetric solver dsyevd (esd, moments),
+held at one OpenBLAS thread by `cwrmt run`.  With numpy's ILP64 OpenBLAS it
+runs in place, through LAPACKE, on the float64 matrix `A.values` makes, so a
+replica holds one N x N float64 array and its int8 spins; otherwise
+`np.linalg.eigvalsh` solves a copy.  ||A|| alone comes from certified Lanczos
+(norm).  The semicircle pdf/cdf/moments are closed-form, with Catalan numbers
+as the even moments.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,14 +75,45 @@ def semicircle_moment(k: int) -> float:
     return float(catalan(k // 2))
 
 
-def eigenvalues(A: ScaledMatrix) -> np.ndarray:
-    """Ascending spectrum of the dense symmetric scaled matrix."""
-    vals = A.values
+@functools.cache
+def _lapack():
+    """numpy's linalg extension, which links its LAPACK; None if not found."""
     try:
-        lam = np.linalg.eigvalsh(vals)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigensolver failed for N={A.source.N}: {exc}")
-    _check_identities(lam, vals)
+        from numpy.linalg import _umath_linalg
+        return ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError, AttributeError):
+        return None
+
+
+@functools.cache
+def _dsyevd():
+    """LAPACKE_dsyevd(layout, jobz, uplo, n, a, lda, w) -> info of numpy's
+    ILP64 OpenBLAS, by its numpy 2 or numpy 1 name; or None.  Never raises."""
+    for name in ("scipy_LAPACKE_dsyevd64_", "LAPACKE_dsyevd64_"):
+        if fn := getattr(_lapack(), name, None):
+            i64, ptr, char = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char
+            fn.argtypes = [ctypes.c_int, char, char, i64, ptr, i64, ptr]
+            fn.restype = i64
+            return fn
+    return None
+
+
+def eigenvalues(A: ScaledMatrix) -> np.ndarray:
+    """Ascending spectrum of the dense symmetric scaled matrix, solved in
+    place on the buffer `A.values` makes where `_dsyevd` is found."""
+    vals, N, dsyevd = A.values, A.source.N, _dsyevd()
+    tr, fro2 = float(np.trace(vals)), float(np.vdot(vals, vals))
+    if dsyevd is None:
+        try:
+            lam = np.linalg.eigvalsh(vals)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"eigensolver failed for N={N}: {exc}")
+    else:  # column-major (102) on the symmetric buffer: numpy's Fortran copy
+        lam = np.empty(N)
+        info = dsyevd(102, b"N", b"L", N, vals.ctypes.data, N, lam.ctypes.data)
+        if info:
+            raise NumericError(f"eigensolver failed for N={N}: info {info}")
+    _check_identities(lam, tr, fro2)
     return lam
 
 
@@ -124,13 +160,11 @@ def norm(A: ScaledMatrix) -> tuple[float, float]:
         v = w / b
 
 
-def _check_identities(lam: np.ndarray, vals: np.ndarray):
+def _check_identities(lam: np.ndarray, tr: float, fro2: float):
     scale_ = max(np.max(np.abs(lam)), 1e-300)
     n = len(lam)
-    tr = float(np.trace(vals))
     if abs(lam.sum() - tr) > _REL_TOL * n * scale_:
         raise NumericError("trace identity violated beyond tolerance")
-    fro2 = float(np.vdot(vals, vals))
     if abs(np.sum(lam * lam) - fro2) > _REL_TOL * max(fro2, 1e-300):
         raise NumericError("Frobenius identity violated beyond tolerance")
 

@@ -410,14 +410,29 @@ def test_run_without_blas_thread_control(tmp_path, monkeypatch):
 
 
 def test_blas_lookup_never_raises(monkeypatch):
-    lookup = cli._blas_thread_fns.__wrapped__  # uncached
+    # the thread functions and the in-place solver, over one library opener;
+    # all three uncached
+    monkeypatch.setattr(spectral, "_lapack", spectral._lapack.__wrapped__)
 
     def no_library(path):
         raise OSError(f"cannot open {path}")
-    monkeypatch.setattr(cli.ctypes, "CDLL", no_library)
-    assert lookup() is None
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: object())
-    assert lookup() is None
+    for lookup in (cli._blas_thread_fns.__wrapped__,
+                   spectral._dsyevd.__wrapped__):
+        monkeypatch.setattr(cli.ctypes, "CDLL", no_library)
+        assert lookup() is None
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: object())
+        assert lookup() is None
+
+
+@pytest.mark.parametrize("found", [True, False])
+def test_summary_records_the_eigensolver(tmp_path, monkeypatch, found):
+    if not found:
+        monkeypatch.setattr(spectral, "_dsyevd", lambda: None)
+    elif spectral._dsyevd() is None:
+        pytest.skip("numpy's LAPACK is not an ILP64 OpenBLAS")
+    report = run(_spec(tmp_path))
+    assert report["passed"] and report["env"]["eigensolver"] == (
+        "lapacke_dsyevd" if found else "numpy_eigvalsh")
 
 
 def test_summary_records_the_environment(tmp_path, monkeypatch):

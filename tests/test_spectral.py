@@ -2,6 +2,10 @@
 identities, Kolmogorov distance, Catalan moments."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +25,7 @@ from cwrmt import (
 )
 from cwrmt import spectral
 from cwrmt.ensembles import SpinMatrix
-from cwrmt.errors import DomainError
+from cwrmt.errors import DomainError, NumericError
 
 
 def _spin_matrix(entries):
@@ -137,6 +141,55 @@ def test_eigen_residuals():
     for j in (0, 31, 63):
         res = np.linalg.norm(A.values @ V[:, j] - w[j] * V[:, j])
         assert res <= 1e-8 * norm
+
+
+@pytest.mark.parametrize("in_place", [True, False])
+@pytest.mark.parametrize("kind,kw", [
+    ("full_cw", {"beta": 0.5}), ("diagonal_cw", {"beta": 0.5}),
+    ("generalized", {"beta": 0.5, "alpha": 1.0}), ("iid", {})])
+def test_eigenvalues_equal_numpy_bit_for_bit(kind, kw, in_place,
+                                             monkeypatch):
+    # the in-place LAPACKE call is the LAPACK call numpy makes on its copy
+    if not in_place:
+        monkeypatch.setattr(spectral, "_dsyevd", lambda: None)
+    elif spectral._dsyevd() is None:
+        pytest.skip("numpy's LAPACK is not an ILP64 OpenBLAS")
+    for N in (1, 2, 3, 64, 65, 500):
+        A = scale(sample_matrix(EnsembleConfig(kind=kind, N=N, seed=N, **kw)),
+                  0.5)
+        assert eigenvalues(A).tobytes() == np.linalg.eigvalsh(
+            A.values).tobytes()
+
+
+def test_eigensolver_failure_names_n(monkeypatch):
+    monkeypatch.setattr(spectral, "_dsyevd", lambda: lambda *args: 3)
+    A = scale(_spin_matrix(np.ones((5, 5))), 0.5)
+    with pytest.raises(NumericError, match=r"N=5\b.*info 3"):
+        eigenvalues(A)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_eigensolve_holds_one_float64_matrix():
+    # one BLAS thread, as `cwrmt run` holds it; the parent's private copy
+    # took the solve from about +33 MiB to +65 MiB over the drawn spins.
+    # VmHWM, not ru_maxrss, which keeps pytest's peak across fork and exec
+    code = ("from cwrmt import EnsembleConfig, eigenvalues, sample_matrix, "
+            "scale\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(line.split()[1]) for line in fh\n"
+            "                    if line.startswith('VmHWM:'))\n"
+            "X = sample_matrix(EnsembleConfig(kind='full_cw', N=2048, "
+            "beta=0.5, seed=1))\n"
+            "before = peak()\n"
+            "eigenvalues(scale(X, 0.5))\n"
+            "print((peak() - before) * 1024)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    grown = int(subprocess.run([sys.executable, "-c", code], env=env,
+                               check=True, capture_output=True, text=True,
+                               timeout=120).stdout)
+    assert grown < 1.6 * 2048 * 2048 * 8
 
 
 # ---------------------------------------------------------------------------
