@@ -221,31 +221,32 @@ def _parallel_map(fn, args_list):
         return list(pool.map(fn, args_list))
 
 
+def _openblas(fn: str, restype, *argtypes):
+    """numpy's OpenBLAS function `fn`, typed, or None.  Never raises."""
+    for name in ("scipy_openblas_%s64_",  # numpy 2; numpy 1; a system one
+                 "openblas_%s64_", "openblas_%s"):
+        if found := getattr(spectral._lapack(), name % fn, None):
+            found.restype, found.argtypes = restype, argtypes
+            return found
+    return None
+
+
 @functools.cache
 def _blas_thread_fns():
-    """(get, set) of the thread count of the OpenBLAS under numpy's LAPACK, by
-    its numpy 2, numpy 1 or system name; None for other BLAS.  Never raises."""
-    lib = spectral._lapack()
-    for name in ("scipy_openblas_%s_num_threads64_",
-                 "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
-        get, set_ = (getattr(lib, name % op, None) for op in ("get", "set"))
-        if get and set_:  # int get(void) and void set(int)
-            get.argtypes, set_.argtypes, set_.restype = [], [ctypes.c_int], None
-            return get, set_
-    return None
+    """(get, set) of numpy's OpenBLAS thread count; None without them."""
+    fns = (_openblas("get_num_threads", ctypes.c_int),
+           _openblas("set_num_threads", None, ctypes.c_int))
+    return fns if all(fns) else None
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the body on one OpenBLAS thread; yields 1, or None without one."""
-    get, set_ = _blas_thread_fns() or (None, None)
-    if set_ is None:
-        yield None
-        return
+    get, set_ = _blas_thread_fns() or (lambda: None, lambda n: None)
     before = get()
     set_(1)
     try:
-        yield 1
+        yield None if before is None else 1
     finally:
         set_(before)
 
@@ -379,13 +380,17 @@ def _laplace_rows(spec: ExperimentSpec) -> tuple:
     per K, which the checks read."""
     # the potential does not depend on N, so a run may leave N out
     potential, _ = ensembles._law(spec.ensemble_config(N=1))
+    beta = spec.ensemble.get("beta")
     rows = []
     for K in spec.K_list:
         for s in map(float, spec.scales):
             measure = ensembles._measure(potential, s)
-            rows.append((K, s, measure.moment(K),
-                         definetti.laplace_moment_asymptotic(
-                             measure.minimum, K, s)))
+            exact = measure.moment(K)
+            asym = definetti.laplace_moment_asymptotic(measure.minimum, K, s)
+            if exact == 0.0 < asym:  # a ratio of 0 would compare nothing
+                raise NumericError(f"moment K={K} at beta={beta}, scale={s:g} "
+                                   f"underflows to 0, not to {asym:.6g}")
+            rows.append((K, s, exact, asym))
     largest = spec.scales.index(max(spec.scales))
     return rows, rows[largest::len(spec.scales)]
 
@@ -491,8 +496,10 @@ def run(spec: ExperimentSpec) -> dict:
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    core = _openblas("get_corename", ctypes.c_char_p)  # DYNAMIC_ARCH's pick
     env = {"numpy": np.__version__, "blas": blas.get("name"),
            "blas_version": blas.get("version"), "cpu_count": os.cpu_count(),
+           "blas_core": core and core().decode(),
            "eigensolver": ("lapacke_dsyevd" if spectral._dsyevd()
                            else "numpy_eigvalsh"),
            "pool_size": None, "thread_env": {

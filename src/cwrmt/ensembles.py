@@ -98,11 +98,10 @@ class SpinMatrix:
 
 @dataclass(frozen=True)
 class ScaledMatrix:
-    """View of a spin matrix with entries divided by N^exponent.
-
-    exponent=1/2 is the semicircle normalization A_N, exponent=1 the B_N
-    matrix of the norm-transition experiments.
-    """
+    """View of a spin matrix with entries divided by N^exponent: 1/2 is the
+    semicircle normalization A_N, 1 the B_N of the norm transition.  `values`
+    casts it (esd, moments); `spectral.norm` reads the int8 spins and one
+    block of ~512 KiB (17 MB, not 151 MB, at N = 4096)."""
 
     source: SpinMatrix
     exponent: float

@@ -1,12 +1,12 @@
 """Spectra and semicircle reference statistics.
 
-Eigenvalues come from LAPACK's dense symmetric solver dsyevd (esd, moments),
-held at one OpenBLAS thread by `cwrmt run`.  With numpy's ILP64 OpenBLAS it
-runs in place, through LAPACKE, on the float64 matrix `A.values` makes, so a
-replica holds one N x N float64 array and its int8 spins; otherwise
-`np.linalg.eigvalsh` solves a copy.  ||A|| alone comes from certified Lanczos
-(norm).  The semicircle pdf/cdf/moments are closed-form, with Catalan numbers
-as the even moments.
+Eigenvalues come from LAPACK's dsyevd (esd, moments), held at one OpenBLAS
+thread by `cwrmt run`, in place through numpy's ILP64 LAPACKE on the float64
+matrix `A.values` makes (else `np.linalg.eigvalsh` solves a copy).  ||A||
+alone comes from certified Lanczos (norm), whose products read the int8 spins
+in row blocks: norm holds the spins plus one block of ~512 KiB, 17 MB and
+not 151 MB per replica at N = 4096.  The semicircle pdf/cdf/moments are
+closed-form, with Catalan numbers as the even moments.
 """
 
 from __future__ import annotations
@@ -117,6 +117,26 @@ def eigenvalues(A: ScaledMatrix) -> np.ndarray:
     return lam
 
 
+def _products(A: ScaledMatrix):
+    """v -> A.values @ v, bit for bit, from the int8 spins, in blocks of 16k
+    rows (OpenBLAS's gemv treats a row remainder apart) and 512 KiB through a
+    buffer of the call's own; a 1-row tail joins the block before (matmul
+    dots one row).  A spin is +-1, so times fl(1/s) it is the cast's x / s."""
+    X, N, inv = A.source.entries, A.source.N, 1.0 / A.source.N**A.exponent
+    step = 16 * max(1, 2**19 // (128 * N))  # 16-row groups of 128 N bytes
+    ends = [*range(step, N - 1, step), N]  # a 1-row tail joins the last block
+    buf = np.empty((max(np.diff(ends, prepend=0)), N))
+
+    def product(v):
+        w = np.empty(N)
+        for r0, r1 in zip([0, *ends], ends):
+            np.copyto(b := buf[:r1 - r0], X[r0:r1])
+            b *= inv
+            np.matmul(b, v, out=w[r0:r1])
+        return w
+    return product
+
+
 def norm(A: ScaledMatrix) -> tuple[float, float]:
     """Operator norm max |lambda| of the scaled matrix, and a bound on its
     relative error, by Lanczos with full reorthogonalisation (twice per step)
@@ -129,8 +149,7 @@ def norm(A: ScaledMatrix) -> tuple[float, float]:
     too), when beta_j is below the rounding level N eps |theta| (the Krylov
     space is invariant), or at step N.  The bound returned is the residual
     bound over |theta| plus the rounding level."""
-    vals = A.values
-    N = len(vals)
+    N, product = A.source.N, _products(A)
     rounding = N * np.finfo(float).eps
     V, T = np.empty((0, N)), np.zeros((0, 0))
     v, b = np.random.default_rng(0).standard_normal(N), 0.0
@@ -140,7 +159,7 @@ def norm(A: ScaledMatrix) -> tuple[float, float]:
             V = np.concatenate([V, np.empty((min(N - j, 64), N))])
             T = np.pad(T, (0, len(V) - len(T)))
         V[j] = v
-        w = vals @ v
+        w = product(v)
         T[j, j] = v @ w
         if j:
             T[j, j - 1] = T[j - 1, j] = b

@@ -1,6 +1,7 @@
 """Experiment runner: config parsing, task dispatch, determinism of the
 emitted CSVs, and exit codes."""
 
+import ctypes
 import hashlib
 import json
 import math
@@ -417,7 +418,8 @@ def test_blas_lookup_never_raises(monkeypatch):
     def no_library(path):
         raise OSError(f"cannot open {path}")
     for lookup in (cli._blas_thread_fns.__wrapped__,
-                   spectral._dsyevd.__wrapped__):
+                   spectral._dsyevd.__wrapped__,
+                   lambda: cli._openblas("get_corename", ctypes.c_char_p)):
         monkeypatch.setattr(cli.ctypes, "CDLL", no_library)
         assert lookup() is None
         monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: object())
@@ -446,6 +448,12 @@ def test_summary_records_the_environment(tmp_path, monkeypatch):
     assert env["thread_env"]["CWRMT_THREADS"] == "1"
     assert env["thread_env"]["OMP_NUM_THREADS"] == "3"
     assert env["blas_threads"] == (1 if cli._blas_thread_fns() else None)
+    # the kernel DYNAMIC_ARCH picked, which OpenBLAS's config string names
+    config = cli._openblas("get_config", ctypes.c_char_p)
+    if config is None:
+        assert env["blas_core"] is None
+    else:
+        assert env["blas_core"] in config().decode().split()
 
 
 @pytest.mark.parametrize("cells", [[[4, 4]], [[4, 4], [4, 2]]])
@@ -607,6 +615,19 @@ def test_main_laplace_high_moment(tmp_path, capsys, scale, code):
     assert main(["run", "--config", str(cfg_path)]) == code
     if code == EXIT_NUMERIC:
         assert "numeric error:" in capsys.readouterr().err
+
+
+def test_main_laplace_moment_underflow(tmp_path, capsys):
+    # at beta = 1e-300 the K = 2 moment at scale 1e3 underflows to 0.0
+    # while its Laplace asymptotic is 1e-303: a ratio of 0 exited 4
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps({
+        "task": "laplace", "ensemble": {"kind": "full_cw", "beta": 1e-300},
+        "K_list": [2], "scales": [1e3], "output_dir": str(tmp_path)}))
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error:")
+    assert all(part in err for part in ("K=2", "beta=1e-300", "scale=1000"))
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 """Spectra and semicircle reference: eigensolves with trace/Frobenius
 identities, Kolmogorov distance, Catalan moments."""
 
+import ctypes
 import math
 import os
 import subprocess
@@ -23,7 +24,7 @@ from cwrmt import (
     semicircle_pdf,
     summarize,
 )
-from cwrmt import spectral
+from cwrmt import cli, spectral
 from cwrmt.ensembles import SpinMatrix
 from cwrmt.errors import DomainError, NumericError
 
@@ -168,13 +169,13 @@ def test_eigensolver_failure_names_n(monkeypatch):
         eigenvalues(A)
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
-def test_eigensolve_holds_one_float64_matrix():
-    # one BLAS thread, as `cwrmt run` holds it; the parent's private copy
-    # took the solve from about +33 MiB to +65 MiB over the drawn spins.
-    # VmHWM, not ru_maxrss, which keeps pytest's peak across fork and exec
-    code = ("from cwrmt import EnsembleConfig, eigenvalues, sample_matrix, "
-            "scale\n"
+def _vmhwm_growth(call: str) -> int:
+    """Bytes by which `call` on a drawn full_cw matrix (beta 0.5, N = 2048)
+    grows the peak RSS of a child on one BLAS thread, as `cwrmt run` holds
+    it.  VmHWM, not ru_maxrss, which keeps pytest's peak across fork and
+    exec."""
+    code = ("from cwrmt import EnsembleConfig, sample_matrix, scale, "
+            "spectral\n"
             "def peak():\n"
             "    with open('/proc/self/status') as fh:\n"
             "        return next(int(line.split()[1]) for line in fh\n"
@@ -182,13 +183,20 @@ def test_eigensolve_holds_one_float64_matrix():
             "X = sample_matrix(EnsembleConfig(kind='full_cw', N=2048, "
             "beta=0.5, seed=1))\n"
             "before = peak()\n"
-            "eigenvalues(scale(X, 0.5))\n"
+            f"{call}\n"
             "print((peak() - before) * 1024)\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-    grown = int(subprocess.run([sys.executable, "-c", code], env=env,
-                               check=True, capture_output=True, text=True,
-                               timeout=120).stdout)
+    return int(subprocess.run([sys.executable, "-c", code], env=env,
+                              check=True, capture_output=True, text=True,
+                              timeout=120).stdout)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_eigensolve_holds_one_float64_matrix():
+    # the parent's private copy took the solve from about +33 MiB to
+    # +65 MiB over the drawn spins
+    grown = _vmhwm_growth("spectral.eigenvalues(scale(X, 0.5))")
     assert grown < 1.6 * 2048 * 2048 * 8
 
 
@@ -214,6 +222,35 @@ def test_norm_matches_dense_eigensolve(kind, kw):
             ref = max(abs(lam[0]), abs(lam[-1]))
             value, bound = spectral.norm(A)
             assert abs(value - ref) <= min(bound, 1e-12) * ref
+
+
+@pytest.mark.parametrize("kind,kw", [
+    ("full_cw", {"beta": 1.5}), ("diagonal_cw", {"beta": 0.5}),
+    ("generalized", {"beta": 1.0, "alpha": 1.0}), ("iid", {})])
+def test_products_equal_the_cast_product_bit_for_bit(kind, kw):
+    # at one BLAS thread, as `cwrmt run` holds it (two threads split the full
+    # product differently at some N, such as 4033).  Blocks of 16k rows take
+    # OpenBLAS's gemv kernel through the row remainders the full product
+    # takes; 833, 1057 and 2049 end in a 1-row tail, which matmul would dot
+    core = cli._openblas("get_corename", ctypes.c_char_p)
+    core = core and core().decode()  # a failure names OpenBLAS's kernel
+    with cli._one_blas_thread():
+        for N in (1, 2, 3, 15, 16, 17, 63, 64, 65, 129, 193, 500, 833, 1000,
+                  1025, 1057, 2049):
+            X = sample_matrix(EnsembleConfig(kind=kind, N=N, seed=N, **kw))
+            v = np.random.default_rng(N).standard_normal(N)
+            for exponent in (0.0, 0.5, 1.0):
+                A = scale(X, exponent)
+                assert spectral._products(A)(v).tobytes() == (
+                    A.values @ v).tobytes(), (N, exponent, core)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_norm_holds_no_float64_matrix():
+    # Lanczos reads the int8 spins through one block buffer; the float64
+    # cast took the parent to about +36 MiB over the drawn spins (a float64
+    # matrix is 32 MiB), the blocked products to about +4 MiB
+    assert _vmhwm_growth("spectral.norm(scale(X, 0.5))") < 8 * 2**20
 
 
 @pytest.mark.parametrize("exponent", [0.0, 0.5, 1.0])
